@@ -162,6 +162,7 @@ pub(crate) fn fault_label(f: &Fault) -> &'static str {
         Fault::StackOverflow => "stack-overflow",
         Fault::BadDispatch { .. } => "bad-dispatch",
         Fault::NoSuchFunction(_) => "no-such-function",
+        Fault::BadEntryArgs { .. } => "bad-entry-args",
         Fault::IllTyped { .. } => "ill-typed",
     }
 }

@@ -3,11 +3,11 @@
 //! One generator per table and figure of the paper's §5 (see
 //! [`tables`]), driven by the measurement [`harness`] against the
 //! [`paper`] reference numbers. The `report` binary regenerates
-//! everything; `table1` … `fig15` print individual artifacts:
+//! everything, or with `--only` one artifact (`table1` … `fig15`):
 //!
 //! ```text
 //! cargo run --release -p njc-bench --bin report   # writes EXPERIMENTS.md content
-//! cargo run --release -p njc-bench --bin table1
+//! cargo run --release -p njc-bench --bin report -- --only table1
 //! ```
 
 pub mod claims;

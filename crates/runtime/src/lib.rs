@@ -14,9 +14,10 @@
 //!    optimizing tier with that slot in an [`ExplicitOverride`] set, so
 //!    phase 2 keeps the check explicit instead of implicit.
 //! 3. Recompiles run on a **background worker pool** and land in a
-//!    content-addressed [`CodeCache`] (keyed on body hash, configuration,
-//!    trap model, and override set, with LRU eviction), then swap in at
-//!    the next call entry — heap and observation trace carry through.
+//!    content-addressed [`ShardedCodeCache`] (keyed on body hash,
+//!    configuration, trap model, and override set, with LRU eviction),
+//!    then swap in at the next call entry — heap and observation trace
+//!    carry through.
 //! 4. A site that *stops* trapping is **tiered back down**: its override
 //!    is dropped and the implicit (free) form recompiled in, windowed
 //!    mid-run and cumulatively at the post-run fixpoint.
@@ -25,13 +26,15 @@
 //!
 //! ## Compilation as a service
 //!
-//! The same machinery scales to many VM instances: [`ServiceRuntime`]
-//! runs hundreds of tenants against one [`ShardedCodeCache`] (sharded by
-//! body hash, per-shard LRU + frequency-based admission) fed by a
-//! [`RecompileQueue`] — priorities are modeled cycles at stake, requests
-//! for the same artifact coalesce into one compile installed into every
-//! waiting tenant (dedup), the queue is bounded (backpressure) and ages
-//! survivors (starvation freedom).
+//! There is one adaptive loop, and it serves many VM instances:
+//! [`ServiceRuntime`] runs hundreds of tenants against one
+//! [`ShardedCodeCache`] (sharded by body hash, per-shard LRU +
+//! frequency-based admission) fed by a [`RecompileQueue`] — priorities
+//! are modeled cycles at stake, requests for the same artifact coalesce
+//! into one compile installed into every waiting tenant (dedup), the
+//! queue is bounded (backpressure) and ages survivors (starvation
+//! freedom). [`TieredRuntime`] is the one-tenant
+//! case: its `run` submits one [`TenantSpec`] to a private service.
 //!
 //! ```
 //! use njc_arch::Platform;

@@ -86,9 +86,7 @@ impl Shard {
 }
 
 /// A fixed-fanout sharded artifact cache, shared by every tenant of the
-/// compilation service (and borrowable by a single [`TieredRuntime`]).
-///
-/// [`TieredRuntime`]: crate::TieredRuntime
+/// compilation service.
 #[derive(Debug)]
 pub struct ShardedCodeCache {
     shards: Vec<Mutex<Shard>>,

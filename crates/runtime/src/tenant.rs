@@ -25,21 +25,22 @@
 //!   unstarted tenant off a shared index — hundreds of tenants multiplex
 //!   onto a handful of OS threads;
 //! * one **controller** round-robin polls every live tenant's profile,
-//!   plans per-function override sets exactly like the single-tenant
-//!   tiered loop (tier-up *and* windowed tier-down), and submits
-//!   prioritized requests — priority is the modeled cycles at stake
-//!   (traps × trap cost + peak executions × explicit-check cost).
+//!   plans per-function override sets (tier-up *and* windowed
+//!   tier-down), and submits prioritized requests — priority is the
+//!   modeled cycles at stake (traps × trap cost + peak executions ×
+//!   explicit-check cost).
 //!   Rejected submits (backpressure) are simply retried on a later poll
 //!   against fresher profile data;
 //! * **workers** pop priority batches, compile through the shared cache,
 //!   and install into every waiter.
 //!
-//! After every VM finishes, each tenant independently runs the same
-//! post-run fixpoint as the single-tenant runtime
-//! ([`finalize_tiers`]) and a deterministic steady-state measurement
-//! run. Per-tenant observable behavior is *identical* to running that
-//! tenant alone — the shared pipeline changes only who pays for
-//! compilation, never what the program computes.
+//! After every VM finishes, each tenant independently runs the post-run
+//! fixpoint ([`finalize_tiers`]) and a deterministic steady-state
+//! measurement run. Per-tenant observable behavior is *identical* to
+//! running that tenant alone — the shared pipeline changes only who pays
+//! for compilation, never what the program computes. Running a tenant
+//! alone is exactly what [`TieredRuntime`](crate::TieredRuntime) does: it
+//! is this loop with one tenant.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -77,8 +78,7 @@ pub struct ServiceConfig {
     /// this count wait for a free carrier.
     pub carriers: usize,
     /// Per-tenant tiering knobs — policy, tiers, snapshot interval, and
-    /// the fault-injection delays. `cache_capacity` and `threads` are
-    /// ignored; the service's own cache and pools rule.
+    /// the fault-injection delays.
     pub runtime: RuntimeConfig,
 }
 
@@ -205,8 +205,9 @@ struct TenantState {
     cfg1: OptConfig,
     hooks: RuntimeHooks,
     installs: Mutex<Vec<Install>>,
-    /// The adaptive VM outcome, set by the carrier that ran it.
-    result: Mutex<Option<Result<njc_vm::Outcome, Fault>>>,
+    /// The adaptive VM outcome, set by the carrier that ran it — an
+    /// `Err` payload when the VM unwound.
+    result: Mutex<Option<std::thread::Result<Result<njc_vm::Outcome, Fault>>>>,
     /// Every distinct artifact key this tenant asked for.
     keys: Mutex<BTreeSet<CacheKey>>,
 }
@@ -319,11 +320,16 @@ impl ServiceRuntime {
                 scope.spawn(move || loop {
                     let i = next.fetch_add(1, Ordering::SeqCst);
                     let Some(t) = state_ref.get(i) else { break };
-                    let out = Vm::new(&t.tier0, platform)
-                        .with_config(vm_config)
-                        .with_hooks(&t.hooks)
-                        .with_recovery(&t.spec.recovery)
-                        .run(&t.spec.entry, &t.spec.args);
+                    // A VM that unwinds never marks its hooks finished;
+                    // storing the payload still ends the tenant, so the
+                    // controller stops polling it.
+                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                        Vm::new(&t.tier0, platform)
+                            .with_config(vm_config)
+                            .with_hooks(&t.hooks)
+                            .with_recovery(&t.spec.recovery)
+                            .run(&t.spec.entry, &t.spec.args)
+                    }));
                     *t.result.lock().unwrap_or_else(PoisonError::into_inner) = Some(out);
                 });
             }
@@ -349,7 +355,7 @@ impl ServiceRuntime {
                                         kind: kind1,
                                         platform: &platform,
                                         cache: cache_ref,
-                                        compile_lock: Some(lock_ref),
+                                        compile_lock: lock_ref,
                                         panic_injection: rt.panic_on_compile_of,
                                     };
                                     let (artifact, cache_hit) =
@@ -402,8 +408,7 @@ impl ServiceRuntime {
             }
 
             // The controller: one thread polls every live tenant, plans,
-            // submits. Mirrors the single-tenant tiered controller with
-            // the dispatch channel swapped for the shared queue.
+            // submits to the shared queue.
             let mut requested: Vec<HashMap<usize, ExplicitOverride>> =
                 vec![HashMap::new(); state.len()];
             let live = |t: &TenantState| {
@@ -508,6 +513,15 @@ impl ServiceRuntime {
             queue.close(); // workers drain what is pending, then exit
         });
 
+        // Every thread has stopped: a tenant whose VM unwound ends the run
+        // with its panic.
+        for t in &state {
+            let mut result = t.result.lock().unwrap_or_else(PoisonError::into_inner);
+            if let Some(Err(payload)) = result.take_if(|r| r.is_err()) {
+                std::panic::resume_unwind(payload);
+            }
+        }
+
         // Fixpoint + steady measurement, per tenant, in parallel — each
         // tenant is independent; the shared cache only dedups byte-
         // identical artifacts, so order cannot change any final body.
@@ -595,7 +609,8 @@ fn finalize_tenant(
         .lock()
         .unwrap_or_else(PoisonError::into_inner)
         .take()
-        .expect("carrier stored the adaptive result")?;
+        .and_then(Result::ok)
+        .expect("carrier stored the adaptive result; unwound VMs were re-raised")?;
     let installs = std::mem::take(&mut *t.installs.lock().unwrap_or_else(PoisonError::into_inner));
     let final_snap = t.hooks.snapshot();
     let compiler = TierCompiler {
@@ -604,7 +619,7 @@ fn finalize_tenant(
         kind: kind1,
         platform: &platform,
         cache,
-        compile_lock: Some(compile_lock),
+        compile_lock,
         panic_injection: rt.panic_on_compile_of,
     };
     let Finalized {

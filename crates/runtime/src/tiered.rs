@@ -3,25 +3,28 @@
 //! Tier 0 compiles the whole module at a cheap baseline configuration
 //! (Whaley elimination + trivial trap conversion, the paper's "Old Null
 //! Check") with site counters on, and starts the VM with a
-//! [`RuntimeHooks`] control surface attached. A controller thread polls
-//! the published profile; when the [`ProfilePolicy`] finds a hot function
-//! — or, the interesting case, a hot *trapping* implicit site — the
-//! function is recompiled at the optimizing tier with the trapping slots
-//! forced explicit via [`ExplicitOverride`], on a background worker pool.
-//! The finished body is installed into the swap table and takes effect at
-//! the next call entry, heap and observation trace carrying straight
-//! through.
+//! [`RuntimeHooks`](njc_vm::RuntimeHooks) control surface attached. The
+//! service controller polls the published profile; when the
+//! [`ProfilePolicy`] finds a hot function — or, the interesting case, a
+//! hot *trapping* implicit site — the function is recompiled at the
+//! optimizing tier with the trapping slots forced explicit via
+//! [`ExplicitOverride`], on the service's worker pool. The finished body
+//! is installed into the swap table and takes effect at the next call
+//! entry, heap and observation trace carrying straight through.
 //!
 //! After the adaptive run, any outstanding policy verdict is compiled
-//! synchronously (so the tiering always reaches its fixpoint), and a
-//! second, *measurement* run executes the final bodies with no adaptation
-//! — that run is fully deterministic, which is what the steady-state
-//! benchmark reports.
+//! synchronously (`finalize_tiers`, so the tiering always reaches its
+//! fixpoint), and a second, *measurement* run executes the final bodies
+//! with no adaptation — that run is fully deterministic, which is what
+//! the steady-state benchmark reports.
+//!
+//! There is one adaptive loop, in [`crate::tenant`]: [`TieredRuntime`] is
+//! a one-tenant [`ServiceRuntime`] run. This module holds what both share
+//! — the knobs, the outcome and its checks, the tier-1 compile path, and
+//! the fixpoint pass.
 
-use std::collections::{BTreeMap, HashMap};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{mpsc, Arc, Mutex, PoisonError};
-use std::time::Duration;
+use std::collections::BTreeMap;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use njc_arch::Platform;
 use njc_core::ExplicitOverride;
@@ -29,28 +32,23 @@ use njc_ir::{BlockId, CheckId, Function, FunctionId, Module};
 use njc_observe::{
     reconcile_recovered_tiered, reconcile_tiered, FunctionTrace, ModuleTrace, RecompileEvent,
 };
-use njc_opt::{
-    optimize_function_overridden, optimize_module_traced, prepare_module, ConfigKind, OptConfig,
-};
+use njc_opt::{optimize_function_overridden, ConfigKind, OptConfig};
 use njc_recover::{RecoveryCounts, RecoveryPolicy};
-use njc_vm::{Fault, Outcome, RuntimeHooks, SiteCounters, Value, Vm, VmConfig};
+use njc_vm::{Fault, Outcome, SiteCounters, Value, VmConfig};
 
 use crate::cache::{CacheKey, CacheStats, CompiledArtifact};
 use crate::policy::ProfilePolicy;
 use crate::shard::ShardedCodeCache;
+use crate::tenant::{ServiceConfig, ServiceRuntime, TenantSpec};
 
 /// Knobs of the tiered loop.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct RuntimeConfig {
     /// The profile policy (thresholds from the platform's cost model).
     pub policy: ProfilePolicy,
-    /// Safe points between profile publications ([`RuntimeHooks::new`]).
+    /// Safe points between profile publications
+    /// ([`RuntimeHooks::new`](njc_vm::RuntimeHooks::new)).
     pub snapshot_interval: u64,
-    /// Code cache capacity, in artifacts.
-    pub cache_capacity: usize,
-    /// Worker threads for background recompilation; also threaded into
-    /// the tier compiles' [`OptConfig::threads`].
-    pub threads: usize,
     /// The baseline tier every function starts in.
     pub tier0: ConfigKind,
     /// The optimizing tier hot functions are recompiled at.
@@ -96,8 +94,6 @@ impl RuntimeConfig {
         RuntimeConfig {
             policy: ProfilePolicy::from_cost(&platform.cost),
             snapshot_interval: 32,
-            cache_capacity: 32,
-            threads: 2,
             tier0: ConfigKind::OldNullCheck,
             tier1: ConfigKind::Full,
             interproc: false,
@@ -292,12 +288,6 @@ impl RuntimeOutcome {
     }
 }
 
-/// A recompile request from the controller to the worker pool.
-struct Job {
-    index: usize,
-    overrides: ExplicitOverride,
-}
-
 /// A completed install, recorded by the worker that performed it.
 pub(crate) struct Install {
     pub(crate) index: usize,
@@ -309,9 +299,9 @@ pub(crate) struct Install {
     pub(crate) baseline: SiteCounters,
 }
 
-/// The tier-1 compile path, factored out of [`TieredRuntime`] so the
-/// multi-tenant service's workers can compile any tenant's function
-/// through the same shared sharded cache.
+/// The tier-1 compile path: the service's workers and fixpoint passes
+/// compile any tenant's function through it, against the shared sharded
+/// cache.
 pub(crate) struct TierCompiler<'a> {
     /// The prepared (intrinsics + inlining) tier-1 base module.
     pub(crate) tier1_base: &'a Module,
@@ -321,12 +311,11 @@ pub(crate) struct TierCompiler<'a> {
     pub(crate) kind: ConfigKind,
     pub(crate) platform: &'a Platform,
     pub(crate) cache: &'a ShardedCodeCache,
-    /// When set, cache misses compile under this lock (double-checked):
-    /// concurrent requests for the same key — different tenants reaching
-    /// the same tiering decision at once — collapse into one compile plus
-    /// hits instead of duplicate work. `None` for the single-tenant
-    /// runtime, whose worker jobs never share a key.
-    pub(crate) compile_lock: Option<&'a Mutex<()>>,
+    /// Cache misses compile under this lock (double-checked): concurrent
+    /// requests for the same key — different tenants reaching the same
+    /// tiering decision at once — collapse into one compile plus hits
+    /// instead of duplicate work.
+    pub(crate) compile_lock: &'a Mutex<()>,
     /// [`RuntimeConfig::panic_on_compile_of`], threaded through so the
     /// injected unwind happens exactly where a real optimizer bug would:
     /// inside a compile job, past the cache lookup.
@@ -354,13 +343,12 @@ impl TierCompiler<'_> {
         }
         let _serialized = self
             .compile_lock
-            .map(|l| l.lock().unwrap_or_else(PoisonError::into_inner));
-        if self.compile_lock.is_some() {
-            // Double-check: another holder may have landed this key while
-            // we waited on the lock.
-            if let Some(artifact) = self.cache.get(&key) {
-                return (artifact, true);
-            }
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
+        // Double-check: another holder may have landed this key while we
+        // waited on the lock.
+        if let Some(artifact) = self.cache.get(&key) {
+            return (artifact, true);
         }
         if self.panic_injection == Some(self.tier1_base.function(fid).name()) {
             panic!("injected compile-job panic");
@@ -385,18 +373,16 @@ impl TierCompiler<'_> {
     }
 }
 
-/// The tiered execution manager. The code cache persists across runs, so
-/// repeating a run hits instead of recompiling; it may also be *shared*
-/// between runtimes ([`TieredRuntime::with_shared_cache`]) — the
-/// compilation service runs hundreds of tenants against one sharded
-/// cache.
+/// The tiered execution manager: one program through the profile →
+/// recompile → swap loop. It is a one-tenant [`ServiceRuntime`] — the
+/// service's carrier, controller and workers run the adaptive loop — and
+/// its code cache persists across runs, so repeating a run hits instead
+/// of recompiling.
 #[derive(Debug)]
 pub struct TieredRuntime {
     module: Module,
-    platform: Platform,
-    config: RuntimeConfig,
-    cache: Arc<ShardedCodeCache>,
     recovery: RecoveryPolicy,
+    service: ServiceRuntime,
 }
 
 impl TieredRuntime {
@@ -406,26 +392,17 @@ impl TieredRuntime {
         Self::with_config(module, platform, config)
     }
 
-    /// A runtime with explicit knobs and a private single-shard cache.
+    /// A runtime with explicit tiering knobs on the default service shape
+    /// ([`ServiceConfig::for_platform`]).
     pub fn with_config(module: Module, platform: Platform, config: RuntimeConfig) -> Self {
-        let cache = Arc::new(ShardedCodeCache::new(1, config.cache_capacity));
-        Self::with_shared_cache(module, platform, config, cache)
-    }
-
-    /// A runtime borrowing a shared (possibly multi-tenant) code cache.
-    /// `config.cache_capacity` is ignored; the cache's own shape rules.
-    pub fn with_shared_cache(
-        module: Module,
-        platform: Platform,
-        config: RuntimeConfig,
-        cache: Arc<ShardedCodeCache>,
-    ) -> Self {
+        let service = ServiceConfig {
+            runtime: config,
+            ..ServiceConfig::for_platform(&platform)
+        };
         TieredRuntime {
             module,
-            platform,
-            cache,
-            config,
             recovery: RecoveryPolicy::abort(),
+            service: ServiceRuntime::with_config(platform, service),
         }
     }
 
@@ -439,19 +416,9 @@ impl TieredRuntime {
         self
     }
 
-    /// Code cache counters (cache-wide: a shared cache reports traffic
-    /// from every runtime using it).
+    /// Code cache counters.
     pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
-    }
-
-    fn tier_config(&self, kind: ConfigKind) -> OptConfig {
-        OptConfig {
-            threads: self.config.threads.max(1),
-            interproc: self.config.interproc,
-            gvn: self.config.gvn,
-            ..kind.to_config(&self.platform)
-        }
+        self.service.cache().stats()
     }
 
     /// Runs `entry(args)` through the profile → recompile → swap loop,
@@ -460,230 +427,27 @@ impl TieredRuntime {
     /// # Errors
     /// Propagates VM [`Fault`]s from either run.
     pub fn run(&self, entry: &str, args: &[Value]) -> Result<RuntimeOutcome, Fault> {
-        let platform = self.platform;
-        let cfg0 = self.tier_config(self.config.tier0);
-        let cfg1 = self.tier_config(self.config.tier1);
-
-        let mut tier0 = self.module.clone();
-        let (_s0, tier0_trace) = optimize_module_traced(&mut tier0, &platform, &cfg0);
-        // The recompile base: module-level preparation (intrinsics,
-        // inlining) applied once; per-function optimization happens per
-        // recompile, byte-identical to a whole-module tier-1 compile.
-        let mut tier1_base = self.module.clone();
-        prepare_module(&mut tier1_base, &platform, &cfg1);
-
-        let hooks = RuntimeHooks::new(self.config.snapshot_interval);
-        let vm_config = VmConfig {
-            count_sites: true,
-            ..self.config.vm
+        let spec = TenantSpec {
+            name: entry.to_string(),
+            module: self.module.clone(),
+            entry: entry.to_string(),
+            args: args.to_vec(),
+            recovery: self.recovery.clone(),
         };
-
-        let compiler = TierCompiler {
-            tier1_base: &tier1_base,
-            cfg1: &cfg1,
-            kind: self.config.tier1,
-            platform: &self.platform,
-            cache: &self.cache,
-            compile_lock: None,
-            panic_injection: self.config.panic_on_compile_of,
-        };
-
-        let compile_panics = AtomicU64::new(0);
-        let installs: Mutex<Vec<Install>> = Mutex::new(Vec::new());
-        let (job_tx, job_rx) = mpsc::channel::<Job>();
-        let job_rx = Mutex::new(job_rx);
-        let mut requested: HashMap<usize, ExplicitOverride> = HashMap::new();
-
-        let tier0_ref = &tier0;
-        let recovery_ref = &self.recovery;
-        let compiler_ref = &compiler;
-        let hooks_ref = &hooks;
-        let installs_ref = &installs;
-        let job_rx_ref = &job_rx;
-        let panics_ref = &compile_panics;
-        let install_delay = self.config.install_delay_micros;
-
-        let adaptive = std::thread::scope(|scope| -> Result<Outcome, Fault> {
-            let vm_handle = scope.spawn(move || {
-                Vm::new(tier0_ref, platform)
-                    .with_config(vm_config)
-                    .with_hooks(hooks_ref)
-                    .with_recovery(recovery_ref)
-                    .run(entry, args)
-            });
-            let workers: Vec<_> = (0..self.config.threads.max(1))
-                .map(|_| {
-                    scope.spawn(move || {
-                        loop {
-                            // Holding the lock across recv serializes job
-                            // pickup; recompiles are rare enough that this
-                            // is simpler than a shared deque.
-                            let job = job_rx_ref
-                                .lock()
-                                .unwrap_or_else(PoisonError::into_inner)
-                                .recv();
-                            let Ok(job) = job else { break };
-                            // A panicking compile job (a buggy optimizer
-                            // pass) must kill neither this worker nor —
-                            // via a poisoned mutex — the whole runtime:
-                            // catch the unwind, count it, move on. The
-                            // function stays at its current tier.
-                            let survived =
-                                std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                    let (artifact, cache_hit) =
-                                        compiler_ref.compile(job.index, &job.overrides);
-                                    if install_delay > 0 {
-                                        // Fault injection: the install channel sits
-                                        // on a finished artifact before publishing.
-                                        std::thread::sleep(Duration::from_micros(install_delay));
-                                    }
-                                    let snap = hooks_ref.snapshot();
-                                    hooks_ref.install(job.index as u32, Arc::clone(&artifact.body));
-                                    let event = RecompileEvent {
-                                        function: compiler_ref
-                                            .tier1_base
-                                            .function(FunctionId::new(job.index))
-                                            .name()
-                                            .to_string(),
-                                        to_config: compiler_ref.cfg1.name.to_string(),
-                                        overrides: job.overrides.len(),
-                                        cache_hit,
-                                        mid_run: !hooks_ref.is_finished(),
-                                        at_calls: snap.calls,
-                                    };
-                                    installs_ref
-                                        .lock()
-                                        .unwrap_or_else(PoisonError::into_inner)
-                                        .push(Install {
-                                            index: job.index,
-                                            overrides: job.overrides,
-                                            artifact,
-                                            event,
-                                            baseline: snap.counters,
-                                        });
-                                }));
-                            if survived.is_err() {
-                                panics_ref.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    })
-                })
-                .collect();
-
-            // Controller: poll the profile, plan, dispatch. The second
-            // condition covers a panicking VM thread, whose hooks would
-            // otherwise never be marked finished.
-            while !hooks.is_finished() && !vm_handle.is_finished() {
-                let snap = hooks.snapshot();
-                let installed = installs.lock().unwrap_or_else(PoisonError::into_inner);
-                for fi in 0..tier0.num_functions() {
-                    let latest = installed.iter().rev().find(|i| i.index == fi);
-                    let body: &Function = latest
-                        .map(|i| &*i.artifact.body)
-                        .unwrap_or_else(|| tier0.function(FunctionId::new(fi)));
-                    let plan = self.config.policy.assess(
-                        fi,
-                        body,
-                        &|f| self.module.field_offset(f),
-                        &snap.counters,
-                        latest.map(|i| &i.baseline),
-                    );
-                    if !plan.hot {
-                        continue;
-                    }
-                    // Desired set = what the installed body's window still
-                    // justifies (tier-down drops quiesced slots), plus any
-                    // newly hot-trapping slots from this poll.
-                    let mut want = match latest {
-                        Some(inst) if self.config.tier_down => self.config.policy.assess_tier_down(
-                            fi,
-                            body,
-                            &|f| self.module.field_offset(f),
-                            &inst.overrides,
-                            &snap.counters,
-                            Some(&inst.baseline),
-                        ),
-                        Some(inst) => inst.overrides.clone(),
-                        None => requested.get(&fi).cloned().unwrap_or_default(),
-                    };
-                    for (off, kind) in plan.overrides.keys() {
-                        want.insert(off, kind);
-                    }
-                    if requested.get(&fi) != Some(&want) {
-                        requested.insert(fi, want.clone());
-                        let _ = job_tx.send(Job {
-                            index: fi,
-                            overrides: want,
-                        });
-                    }
-                }
-                drop(installed);
-                std::thread::sleep(Duration::from_micros(
-                    self.config.controller_poll_micros.max(1),
-                ));
-            }
-            drop(job_tx); // close the channel: workers drain, then exit
-            let out = vm_handle
-                .join()
-                .unwrap_or_else(|p| std::panic::resume_unwind(p));
-            for w in workers {
-                w.join().unwrap_or_else(|p| std::panic::resume_unwind(p));
-            }
-            out
-        })?;
-
-        let mid_run_swaps = hooks.swapped_calls();
-        let installs = installs
-            .into_inner()
-            .unwrap_or_else(PoisonError::into_inner);
-        let final_snap = hooks.snapshot();
-
-        let finalized = finalize_tiers(FinalizeInput {
-            tier0: &tier0,
-            tier0_trace: &tier0_trace,
-            compiler: &compiler,
-            policy: &self.config.policy,
-            tier_down: self.config.tier_down,
-            field_offset: &|f| self.module.field_offset(f),
-            installs,
-            final_counters: &final_snap.counters,
-            final_calls: final_snap.calls,
-        });
-        let Finalized {
-            final_module,
-            overrides,
-            tier_traces,
-            recompiles,
-            compile_panics: fixpoint_panics,
-        } = finalized;
-
-        // The measurement run: final bodies, no adaptation, fully
-        // deterministic.
-        let steady = Vm::new(&final_module, platform)
-            .with_config(self.config.vm)
-            .with_recovery(&self.recovery)
-            .run(entry, args)?;
-
-        let mut recoveries = adaptive.stats.recoveries;
-        recoveries.absorb(&steady.stats.recoveries);
-        Ok(RuntimeOutcome {
-            adaptive,
-            steady,
-            recompiles,
-            cache: self.cache.stats(),
-            overrides,
-            mid_run_swaps,
-            final_module,
-            tier0_trace,
-            tier_traces,
-            compile_panics: compile_panics.load(Ordering::Relaxed) + fixpoint_panics,
-            recoveries,
-        })
+        let service = self.service.run(&[spec])?;
+        let mut outcome = service
+            .tenants
+            .into_iter()
+            .next()
+            .expect("one tenant in, one outcome out")
+            .outcome;
+        // The only tenant owns every worker-side compile panic too.
+        outcome.compile_panics = service.compile_panics;
+        Ok(outcome)
     }
 }
 
-/// Inputs to the post-adaptive fixpoint pass, shared between the
-/// single-tenant runtime and the multi-tenant service.
+/// Inputs to the post-adaptive fixpoint pass of one tenant.
 pub(crate) struct FinalizeInput<'a> {
     /// The tier-0 module the adaptive run started from.
     pub(crate) tier0: &'a Module,

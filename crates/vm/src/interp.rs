@@ -278,6 +278,15 @@ pub enum Fault {
     },
     /// Entry function not found.
     NoSuchFunction(String),
+    /// The entry function was called with the wrong number of arguments.
+    BadEntryArgs {
+        /// The entry function.
+        function: String,
+        /// Its declared parameter count.
+        expected: usize,
+        /// The number of arguments supplied.
+        got: usize,
+    },
     /// An instruction's operands do not match its declared type — an
     /// ill-typed (unverified) module. Structured, not a panic, so a hostile
     /// or fuzzer-generated program yields a per-program verdict instead of
@@ -309,6 +318,11 @@ impl std::fmt::Display for Fault {
             Fault::StackOverflow => write!(f, "call depth exceeded"),
             Fault::BadDispatch { method } => write!(f, "virtual dispatch of `{method}` failed"),
             Fault::NoSuchFunction(n) => write!(f, "no function named `{n}`"),
+            Fault::BadEntryArgs {
+                function,
+                expected,
+                got,
+            } => write!(f, "`{function}` takes {expected} arguments, got {got}"),
             Fault::IllTyped {
                 function,
                 block,
@@ -605,6 +619,16 @@ impl<'m> Vm<'m> {
             .module
             .function_by_name(entry)
             .ok_or_else(|| Fault::NoSuchFunction(entry.to_string()))?;
+        // Arity is checked once, at entry, not on the per-call path: the
+        // module verifier checks every call site's.
+        let expected = self.module.function(id).params().len();
+        if args.len() != expected {
+            return Err(Fault::BadEntryArgs {
+                function: entry.to_string(),
+                expected,
+                got: args.len(),
+            });
+        }
         self.call(id, args.to_vec(), 0)
     }
 

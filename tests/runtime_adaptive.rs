@@ -11,7 +11,10 @@ use njc_arch::{Platform, TrapModel};
 use njc_core::ExplicitOverride;
 use njc_ir::{parse_function, AccessKind, BlockId, Inst};
 use njc_opt::ConfigKind;
-use njc_runtime::{hot_field_workload, CacheKey, RuntimeConfig, TieredRuntime};
+use njc_runtime::{
+    hot_field_workload, CacheKey, RecoveryPolicy, ServiceConfig, ServiceRuntime, TenantSpec,
+    TieredRuntime,
+};
 use njc_vm::Value;
 
 fn key(f: &njc_ir::Function) -> CacheKey {
@@ -86,21 +89,34 @@ fn cache_key_separates_override_sets() {
 fn tiny_cache_evicts_without_changing_results() {
     let platform = Platform::windows_ia32();
     let args = [Value::Int(3000), Value::Ref(0)];
-    let mut config = RuntimeConfig::for_platform(&platform);
-    config.cache_capacity = 1;
-    let tiny = TieredRuntime::with_config(hot_field_workload(), platform, config);
+    let tiny = ServiceRuntime::with_config(
+        platform,
+        ServiceConfig {
+            shards: 1,
+            shard_capacity: 1,
+            ..ServiceConfig::for_platform(&platform)
+        },
+    );
+    let tenant = [TenantSpec {
+        name: "main".to_string(),
+        module: hot_field_workload(),
+        entry: "main".to_string(),
+        args: args.to_vec(),
+        recovery: RecoveryPolicy::abort(),
+    }];
     let roomy = TieredRuntime::new(hot_field_workload(), platform);
     // Two runs through the tiny cache force re-misses on whatever was
     // evicted between runs.
-    let tiny_first = tiny.run("main", &args).unwrap();
-    let tiny_second = tiny.run("main", &args).unwrap();
+    let tiny_first = tiny.run(&tenant).unwrap();
+    let tiny_second = tiny.run(&tenant).unwrap();
     let reference = roomy.run("main", &args).unwrap();
-    let stats = tiny.cache_stats();
+    let stats = tiny.cache().stats();
     assert!(
         stats.evictions > 0,
         "two recompiled functions through capacity 1 must evict: {stats:?}"
     );
     for out in [&tiny_first, &tiny_second] {
+        let out = &out.tenants[0].outcome;
         assert_eq!(out.final_module, reference.final_module);
         assert_eq!(out.steady.stats, reference.steady.stats);
         assert_eq!(out.overrides, reference.overrides);

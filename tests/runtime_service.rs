@@ -7,19 +7,23 @@
 //! content-addressed for real workload bodies; a capacity-1 shared cache
 //! under contention must evict without changing any tenant's results; and
 //! tier-down must return a quiesced site to the implicit (free) form with
-//! every tier's conservation ledger still balanced.
+//! every tier's conservation ledger still balanced. Two more pin how a run
+//! ends: a wrong entry-argument count is a structured fault, and a
+//! panicking tenant VM ends the service run with its panic.
 
 use njc_arch::{Platform, TrapModel};
 use njc_core::ExplicitOverride;
 use njc_ir::FunctionId;
+use njc_ir::Type;
 use njc_observe::FunctionTrace;
 use njc_opt::ConfigKind;
 use njc_runtime::{
     hot_field_workload, many_hot_workload, phase_shift_workload, CacheKey, CompiledArtifact,
     ServiceConfig, ServiceRuntime, ShardedCodeCache, TenantSpec, TieredRuntime, PHASE_NULL,
 };
-use njc_vm::Value;
-use std::sync::Arc;
+use njc_vm::{Fault, Value, Vm};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 fn fleet(name: &str, module: &njc_ir::Module, args: &[Value], n: usize) -> Vec<TenantSpec> {
     (0..n)
@@ -243,4 +247,88 @@ fn tier_down_returns_quiesced_site_to_implicit_with_ledger_conservation() {
         );
         assert_eq!(t.outcome.final_module, out.final_module, "{}", t.name);
     }
+}
+
+/// A wrong entry-argument count is a structured fault at every entry
+/// point — the VM, the tiered runtime and the service — instead of
+/// surplus arguments overwriting non-parameter locals, or more arguments
+/// than locals panicking the VM (and, under the service, wedging the
+/// controller on a tenant that never finished).
+#[test]
+fn wrong_entry_arity_is_a_structured_fault_everywhere() {
+    let platform = Platform::windows_ia32();
+    let module = hot_field_workload();
+    for got in [1, 3, 502] {
+        let args = vec![Value::Int(3_000); got];
+        let expected = Fault::BadEntryArgs {
+            function: "main".to_string(),
+            expected: 2,
+            got,
+        };
+        assert_eq!(
+            Vm::new(&module, platform).run("main", &args).unwrap_err(),
+            expected
+        );
+        assert_eq!(
+            TieredRuntime::new(module.clone(), platform)
+                .run("main", &args)
+                .unwrap_err(),
+            expected
+        );
+        // On a helper thread, so a service that hangs fails the test
+        // instead of the whole suite.
+        let specs = fleet("arity", &module, &args, 2);
+        let (tx, rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            let _ = tx.send(ServiceRuntime::new(platform).run(&specs).map(|_| ()));
+        });
+        let out = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the service run must return");
+        assert_eq!(out.unwrap_err(), expected);
+    }
+}
+
+/// A tenant VM that panics ends the service run with that panic. The
+/// carrier records that its tenant ended even though the VM unwound, so
+/// the controller stops polling it instead of spinning forever.
+#[test]
+fn panicking_tenant_vm_propagates_instead_of_spinning() {
+    let platform = Platform::windows_ia32();
+    // An unverified module whose internal call passes more arguments
+    // than the callee has locals: the VM checks arity only at entry, so
+    // the call panics inside the interpreter. The callee is too large to
+    // inline, so the tier-0 compile leaves the call in place.
+    let mut module = njc_ir::Module::new("hostile");
+    let mut b = njc_ir::FuncBuilder::new("callee", &[], Type::Int);
+    let mut sum = b.iconst(0);
+    for _ in 0..32 {
+        let one = b.iconst(1);
+        sum = b.binop(njc_ir::Op::Add, sum, one);
+    }
+    b.ret(Some(sum));
+    let callee = module.add_function(b.finish());
+    let mut b = njc_ir::FuncBuilder::new("main", &[], Type::Int);
+    let x = b.iconst(7);
+    let dst = b.var(Type::Int);
+    b.emit(njc_ir::Inst::Call {
+        dst: Some(dst),
+        target: njc_ir::CallTarget::Static(callee),
+        receiver: None,
+        args: vec![x; 1_000],
+        exception_site: false,
+    });
+    b.ret(Some(dst));
+    module.add_function(b.finish());
+
+    let specs = fleet("hostile", &module, &[], 2);
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let run = std::panic::catch_unwind(|| ServiceRuntime::new(platform).run(&specs));
+        let _ = tx.send(run.is_err());
+    });
+    let panicked = rx
+        .recv_timeout(Duration::from_secs(60))
+        .expect("the service run must end, not spin");
+    assert!(panicked, "the tenant VM's panic must propagate");
 }
