@@ -37,6 +37,7 @@ use njc_arch::Platform;
 use njc_core::nonnull::{compute_sets, NonNullProblem};
 use njc_dataflow::{solve_cached, solve_round_robin};
 use njc_ir::{CfgCache, Cond, FuncBuilder, Module, Type};
+use njc_observe::json::Json;
 use njc_opt::{ConfigKind, OptConfig, PipelineStats};
 use njc_workloads::Workload;
 
@@ -257,12 +258,27 @@ fn solve_module(module: &Module, worklist: bool) -> SolverSample {
     }
 }
 
-fn json_passes(passes: &[(&'static str, f64)]) -> String {
-    let items: Vec<String> = passes
-        .iter()
-        .map(|(name, v)| format!("{{\"pass\":\"{name}\",\"ms\":{v:.4}}}"))
-        .collect();
-    format!("[{}]", items.join(","))
+impl From<&GridPoint> for Json {
+    fn from(g: &GridPoint) -> Json {
+        let passes: Json = g
+            .passes
+            .iter()
+            .map(|(name, v)| {
+                Json::object()
+                    .field("pass", *name)
+                    .field("ms", Json::Fixed(*v, 4))
+            })
+            .collect();
+        Json::object()
+            .field("threads", g.threads)
+            .field("median_ms", Json::Fixed(g.median_ms, 4))
+            .field("p90_ms", Json::Fixed(g.p90_ms, 4))
+            .field("opt_wall_ms", Json::Fixed(g.opt_wall_ms, 4))
+            .field("pass_cpu_total_ms", Json::Fixed(g.pass_cpu_total_ms(), 4))
+            .field("solver_pops", g.solver_pops)
+            .field("solver_iterations", g.solver_iterations)
+            .field("passes", passes)
+    }
 }
 
 fn main() {
@@ -345,29 +361,19 @@ fn main() {
             grid[0].solver_pops,
         );
 
-        let grid_items: Vec<String> = grid
-            .iter()
-            .map(|g| {
-                format!(
-                    "{{\"threads\":{},\"median_ms\":{:.4},\"p90_ms\":{:.4},\"opt_wall_ms\":{:.4},\"pass_cpu_total_ms\":{:.4},\"solver_pops\":{},\"solver_iterations\":{},\"passes\":{}}}",
-                    g.threads,
-                    g.median_ms,
-                    g.p90_ms,
-                    g.opt_wall_ms,
-                    g.pass_cpu_total_ms(),
-                    g.solver_pops,
-                    g.solver_iterations,
-                    json_passes(&g.passes)
+        workload_json.push(
+            Json::object()
+                .field("name", name)
+                .field("functions", module.num_functions())
+                .field("config", base.name)
+                .field("deterministic", deterministic)
+                .field(
+                    &format!("speedup_t{}_vs_t1", THREAD_GRID.last().unwrap()),
+                    Json::Fixed(speedup, 4),
                 )
-            })
-            .collect();
-        workload_json.push(format!(
-            "{{\"name\":\"{name}\",\"functions\":{},\"config\":\"{}\",\"deterministic\":{deterministic},\"speedup_t{}_vs_t1\":{speedup:.4},\"pass_cpu_stability\":{stability:.4},\"grid\":[{}]}}",
-            module.num_functions(),
-            base.name,
-            THREAD_GRID.last().unwrap(),
-            grid_items.join(",")
-        ));
+                .field("pass_cpu_stability", Json::Fixed(stability, 4))
+                .field("grid", grid.iter().map(Json::from).collect::<Json>()),
+        );
     }
 
     // Algorithmic comparison: worklist vs round-robin on the same
@@ -406,14 +412,27 @@ fn main() {
             "  solver {name}: worklist {wl_med:.3}ms ({} blocks) vs round-robin {rr_med:.3}ms ({} blocks, {} passes) = {blocks_speedup:.2}x blocks",
             wl.blocks_processed, rr.blocks_processed, rr.iterations
         );
-        solver_json.push(format!(
-            "{{\"name\":\"{name}\",\"worklist\":{{\"median_ms\":{wl_med:.4},\"pops\":{},\"blocks_processed\":{},\"iterations\":{}}},\"round_robin\":{{\"median_ms\":{rr_med:.4},\"blocks_processed\":{},\"iterations\":{}}},\"blocks_speedup\":{blocks_speedup:.4},\"wall_speedup\":{alg_speedup:.4}}}",
-            wl.pops,
-            wl.blocks_processed,
-            wl.iterations,
-            rr.blocks_processed,
-            rr.iterations,
-        ));
+        solver_json.push(
+            Json::object()
+                .field("name", name)
+                .field(
+                    "worklist",
+                    Json::object()
+                        .field("median_ms", Json::Fixed(wl_med, 4))
+                        .field("pops", wl.pops)
+                        .field("blocks_processed", wl.blocks_processed)
+                        .field("iterations", wl.iterations),
+                )
+                .field(
+                    "round_robin",
+                    Json::object()
+                        .field("median_ms", Json::Fixed(rr_med, 4))
+                        .field("blocks_processed", rr.blocks_processed)
+                        .field("iterations", rr.iterations),
+                )
+                .field("blocks_speedup", Json::Fixed(blocks_speedup, 4))
+                .field("wall_speedup", Json::Fixed(alg_speedup, 4)),
+        );
     }
 
     // Block counts are deterministic, so this gate is flake-free: if the
@@ -440,16 +459,15 @@ fn main() {
         return;
     }
 
-    let json = format!(
-        "{{\n  \"generated_by\": \"compile_bench\",\n  \"host_parallelism\": {host_parallelism},\n  \"runs\": {runs},\n  \"thread_grid\": [{}],\n  \"note\": \"median_ms/p90_ms/opt_wall_ms are wall-clock (thread speedup bounded by host_parallelism); 'passes' entries are per-pass thread CPU time summed across workers, stable across thread counts (pass_cpu_stability is the worst cross-thread ratio); blocks_speedup and wall_speedup under 'solver' compare the worklist solver to the round-robin oracle and are host-independent — one-sweep CFGs sit at the 2.0 compute+confirm floor, the 'irregular chains' entry is where the schedules diverge\",\n  \"workloads\": [\n    {}\n  ],\n  \"solver\": [\n    {}\n  ]\n}}\n",
-        THREAD_GRID
-            .iter()
-            .map(|t| t.to_string())
-            .collect::<Vec<_>>()
-            .join(","),
-        workload_json.join(",\n    "),
-        solver_json.join(",\n    ")
-    );
+    let json = Json::object()
+        .field("generated_by", "compile_bench")
+        .field("host_parallelism", host_parallelism)
+        .field("runs", runs)
+        .field("thread_grid", THREAD_GRID.to_vec())
+        .field("note", "median_ms/p90_ms/opt_wall_ms are wall-clock (thread speedup bounded by host_parallelism); 'passes' entries are per-pass thread CPU time summed across workers, stable across thread counts (pass_cpu_stability is the worst cross-thread ratio); blocks_speedup and wall_speedup under 'solver' compare the worklist solver to the round-robin oracle and are host-independent — one-sweep CFGs sit at the 2.0 compute+confirm floor, the 'irregular chains' entry is where the schedules diverge")
+        .field("workloads", workload_json)
+        .field("solver", solver_json)
+        .pretty();
     std::fs::write(&args.out, json).expect("write BENCH_compile.json");
     println!("wrote {}", args.out);
 }

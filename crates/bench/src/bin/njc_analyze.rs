@@ -50,13 +50,13 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::process::ExitCode;
 
 use njc_analysis::validate_module;
 use njc_arch::Platform;
 use njc_ir::Module;
 use njc_jit::compile;
+use njc_observe::json::Json;
 use njc_opt::{ConfigKind, OptConfig};
 use njc_workloads::gen::{build_call_module, gen_call_actions, Rng};
 
@@ -221,74 +221,29 @@ fn facts_summary(facts: &njc_core::ctx::FnFacts) -> String {
     parts.join("; ")
 }
 
-fn infer_json(rows: &[InferRow]) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
+impl From<&InferRow> for Json {
+    fn from(r: &InferRow) -> Json {
+        let functions: Json = r
+            .functions
+            .iter()
+            .map(|(fname, (facts, killed))| {
+                Json::object()
+                    .field("name", fname)
+                    .field("nonnull_params", facts.nonnull_params.clone())
+                    .field("call_sites", facts.call_sites)
+                    .field("nonnull_return", facts.nonnull_return)
+                    .field("killed", *killed)
+            })
+            .collect();
+        Json::object()
+            .field("name", &r.name)
+            .field("rounds", r.rounds)
+            .field("phase1_eliminated_off", r.eliminated_off)
+            .field("phase1_eliminated_on", r.eliminated_on)
+            .field("killed", r.killed)
+            .field("functions", functions)
+            .field("nonnull_fields", r.fields.iter().collect::<Json>())
     }
-    let mut out = String::new();
-    out.push_str("{\n  \"programs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", esc(&r.name));
-        let _ = writeln!(out, "      \"rounds\": {},", r.rounds);
-        let _ = writeln!(
-            out,
-            "      \"phase1_eliminated_off\": {},",
-            r.eliminated_off
-        );
-        let _ = writeln!(out, "      \"phase1_eliminated_on\": {},", r.eliminated_on);
-        let _ = writeln!(out, "      \"killed\": {},", r.killed);
-        out.push_str("      \"functions\": [\n");
-        for (j, (fname, (facts, killed))) in r.functions.iter().enumerate() {
-            let params: Vec<String> = facts.nonnull_params.iter().map(u32::to_string).collect();
-            let _ = write!(
-                out,
-                "        {{\"name\": \"{}\", \"nonnull_params\": [{}], \
-                 \"call_sites\": {}, \"nonnull_return\": {}, \"killed\": {}}}",
-                esc(fname),
-                params.join(", "),
-                facts.call_sites,
-                facts.nonnull_return,
-                killed
-            );
-            out.push_str(if j + 1 < r.functions.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("      ],\n");
-        let fields: Vec<String> = r.fields.iter().map(|f| format!("\"{}\"", esc(f))).collect();
-        let _ = writeln!(out, "      \"nonnull_fields\": [{}]", fields.join(", "));
-        out.push_str("    }");
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    let total_killed: usize = rows.iter().map(|r| r.killed).sum();
-    let total_facts: usize = rows
-        .iter()
-        .map(|r| {
-            r.fields.len()
-                + r.functions
-                    .values()
-                    .map(|(f, _)| f.nonnull_params.len() + usize::from(f.nonnull_return))
-                    .sum::<usize>()
-        })
-        .sum();
-    out.push_str("  ],\n");
-    let _ = writeln!(out, "  \"total_facts\": {total_facts},");
-    let _ = writeln!(
-        out,
-        "  \"total_phase1_eliminated_off\": {},",
-        rows.iter().map(|r| r.eliminated_off).sum::<usize>()
-    );
-    let _ = writeln!(
-        out,
-        "  \"total_phase1_eliminated_on\": {},",
-        rows.iter().map(|r| r.eliminated_on).sum::<usize>()
-    );
-    let _ = writeln!(out, "  \"total_killed\": {total_killed}");
-    out.push_str("}\n");
-    out
 }
 
 /// `--infer`: print (or gate on) the interprocedural inference lint.
@@ -315,7 +270,19 @@ fn infer_main(json: bool, smoke: bool, filter: Option<String>) -> ExitCode {
     }
 
     if json {
-        print!("{}", infer_json(&rows));
+        let doc = Json::object()
+            .field("programs", rows.iter().map(Json::from).collect::<Json>())
+            .field("total_facts", total_facts)
+            .field(
+                "total_phase1_eliminated_off",
+                rows.iter().map(|r| r.eliminated_off).sum::<usize>(),
+            )
+            .field(
+                "total_phase1_eliminated_on",
+                rows.iter().map(|r| r.eliminated_on).sum::<usize>(),
+            )
+            .field("total_killed", total_killed);
+        print!("{}", doc.pretty());
     } else {
         for r in &rows {
             println!(
@@ -426,56 +393,24 @@ fn gvn_row(name: &str, module: &Module, platform: &Platform) -> GvnRow {
     }
 }
 
-fn gvn_json(rows: &[GvnRow]) -> String {
-    fn esc(s: &str) -> String {
-        s.replace('\\', "\\\\").replace('"', "\\\"")
+impl From<&GvnRow> for Json {
+    fn from(r: &GvnRow) -> Json {
+        let functions: Json = r
+            .functions
+            .iter()
+            .map(|(fname, killed)| {
+                Json::object()
+                    .field("name", fname)
+                    .field("gvn_killed", *killed)
+            })
+            .collect();
+        Json::object()
+            .field("name", &r.name)
+            .field("phase1_eliminated_off", r.eliminated_off)
+            .field("phase1_eliminated_on", r.eliminated_on)
+            .field("gvn_killed", r.killed())
+            .field("functions", functions)
     }
-    let mut out = String::new();
-    out.push_str("{\n  \"programs\": [\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = writeln!(out, "    {{");
-        let _ = writeln!(out, "      \"name\": \"{}\",", esc(&r.name));
-        let _ = writeln!(
-            out,
-            "      \"phase1_eliminated_off\": {},",
-            r.eliminated_off
-        );
-        let _ = writeln!(out, "      \"phase1_eliminated_on\": {},", r.eliminated_on);
-        let _ = writeln!(out, "      \"gvn_killed\": {},", r.killed());
-        out.push_str("      \"functions\": [\n");
-        for (j, (fname, killed)) in r.functions.iter().enumerate() {
-            let _ = write!(
-                out,
-                "        {{\"name\": \"{}\", \"gvn_killed\": {killed}}}",
-                esc(fname)
-            );
-            out.push_str(if j + 1 < r.functions.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("      ]\n    }");
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("  ],\n");
-    let _ = writeln!(
-        out,
-        "  \"total_phase1_eliminated_off\": {},",
-        rows.iter().map(|r| r.eliminated_off).sum::<usize>()
-    );
-    let _ = writeln!(
-        out,
-        "  \"total_phase1_eliminated_on\": {},",
-        rows.iter().map(|r| r.eliminated_on).sum::<usize>()
-    );
-    let _ = writeln!(
-        out,
-        "  \"total_gvn_killed\": {}",
-        rows.iter().map(GvnRow::killed).sum::<usize>()
-    );
-    out.push_str("}\n");
-    out
 }
 
 /// The `--gvn` corpus: the `--infer` corpus plus the paper-figure micro
@@ -509,7 +444,12 @@ fn gvn_main(json: bool, smoke: bool, filter: Option<String>) -> ExitCode {
     let total_on: usize = rows.iter().map(|r| r.eliminated_on).sum();
 
     if json {
-        print!("{}", gvn_json(&rows));
+        let doc = Json::object()
+            .field("programs", rows.iter().map(Json::from).collect::<Json>())
+            .field("total_phase1_eliminated_off", total_off)
+            .field("total_phase1_eliminated_on", total_on)
+            .field("total_gvn_killed", total_killed);
+        print!("{}", doc.pretty());
     } else {
         for r in &rows {
             println!(
@@ -549,7 +489,8 @@ fn gvn_main(json: bool, smoke: bool, filter: Option<String>) -> ExitCode {
             .iter()
             .map(|(name, m)| gvn_row(name, m, &platform))
             .collect();
-        if gvn_json(&rows) != gvn_json(&rerun) {
+        let render = |rows: &[GvnRow]| rows.iter().map(Json::from).collect::<Json>().compact();
+        if render(&rows) != render(&rerun) {
             eprintln!("FAIL: two runs disagree byte-for-byte (determinism regression)");
             return ExitCode::FAILURE;
         }

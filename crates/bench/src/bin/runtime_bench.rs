@@ -38,6 +38,7 @@ use std::time::Instant;
 
 use njc_arch::Platform;
 use njc_bench::runtime_diff::{run_runtime_difftest, RuntimeDiffOptions};
+use njc_observe::json::Json;
 use njc_observe::{CheckEvent, ExplicitCause};
 use njc_opt::ConfigKind;
 use njc_runtime::{hot_field_workload, RuntimeOutcome, TieredRuntime};
@@ -279,44 +280,62 @@ fn main() {
     }
 
     let config_row = |name: &str, config: &str, o: &Outcome| {
-        format!(
-            "{{\"name\":\"{name}\",\"config\":\"{config}\",\"cycles\":{},\"cycles_per_iter\":{:.4},\"traps_taken\":{},\"explicit_null_checks\":{},\"implicit_site_hits\":{}}}",
-            o.stats.cycles,
-            per_iter(o.stats.cycles),
-            o.stats.traps_taken,
-            o.stats.explicit_null_checks,
-            o.stats.implicit_site_hits
-        )
+        Json::object()
+            .field("name", name)
+            .field("config", config)
+            .field("cycles", o.stats.cycles)
+            .field("cycles_per_iter", Json::Fixed(per_iter(o.stats.cycles), 4))
+            .field("traps_taken", o.stats.traps_taken)
+            .field("explicit_null_checks", o.stats.explicit_null_checks)
+            .field("implicit_site_hits", o.stats.implicit_site_hits)
     };
-    let overrides_json: Vec<String> = out
-        .overrides
-        .iter()
-        .map(|(n, ov)| format!("\"{n}\":{}", ov.len()))
-        .collect();
-    let cache = out.cache;
-    let json = format!(
-        "{{\n  \"generated_by\": \"runtime_bench\",\n  \"iters\": {},\n  \"tenants\": 1,\n  \"note\": \"cycles are deterministic cost-model cycles (reproducible); lines containing wall_ms or volatile carry wall-clock and adaptive-scheduling data and are excluded from the CI byte-identity comparison\",\n  \"configs\": [\n    {},\n    {},\n    {}\n  ],\n  \"overrides\": {{{}}},\n  \"difftest\": {{\"programs\":{},\"cells\":{},\"divergences\":{}}},\n  \"wall_ms\": {{\"always_implicit\":{:.3},\"always_explicit\":{:.3},\"adaptive\":{:.3}}},\n  \"volatile\": {{\"host_parallelism\":{},\"mid_run_swaps\":{},\"swap_proof_iters\":{},\"adaptive_cycles\":{},\"recompile_events\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"evictions\":{},\"inserts\":{}}}}}\n}}\n",
-        args.iters,
-        config_row("always_implicit", "Full", &implicit),
-        config_row("always_explicit", "NoNullOptNoTrap", &explicit),
-        config_row("adaptive_steady", "OldNullCheck+overrides->Full", &out.steady),
-        overrides_json.join(","),
-        diff.programs,
-        diff.cells,
-        diff.divergences.len(),
-        implicit_wall,
-        explicit_wall,
-        adaptive_wall,
-        std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1),
-        mid_run_swaps,
-        swap_iters,
-        out.adaptive.stats.cycles,
-        out.recompiles.len(),
-        cache.hits,
-        cache.misses,
-        cache.evictions,
-        cache.inserts,
-    );
+    let json = Json::object()
+        .field("generated_by", "runtime_bench")
+        .field("iters", args.iters)
+        .field("tenants", 1u32)
+        .field("note", "cycles are deterministic cost-model cycles (reproducible); lines containing wall_ms or volatile carry wall-clock and adaptive-scheduling data and are excluded from the CI byte-identity comparison")
+        .field(
+            "configs",
+            vec![
+                config_row("always_implicit", "Full", &implicit),
+                config_row("always_explicit", "NoNullOptNoTrap", &explicit),
+                config_row("adaptive_steady", "OldNullCheck+overrides->Full", &out.steady),
+            ],
+        )
+        .field(
+            "overrides",
+            out.overrides
+                .iter()
+                .fold(Json::object(), |o, (n, ov)| o.field(n, ov.len())),
+        )
+        .field(
+            "difftest",
+            Json::object()
+                .field("programs", diff.programs)
+                .field("cells", diff.cells)
+                .field("divergences", diff.divergences.len()),
+        )
+        .field(
+            "wall_ms",
+            Json::object()
+                .field("always_implicit", Json::Fixed(implicit_wall, 3))
+                .field("always_explicit", Json::Fixed(explicit_wall, 3))
+                .field("adaptive", Json::Fixed(adaptive_wall, 3)),
+        )
+        .field(
+            "volatile",
+            Json::object()
+                .field(
+                    "host_parallelism",
+                    std::thread::available_parallelism().map_or(1, |n| n.get()),
+                )
+                .field("mid_run_swaps", mid_run_swaps)
+                .field("swap_proof_iters", swap_iters)
+                .field("adaptive_cycles", out.adaptive.stats.cycles)
+                .field("recompile_events", out.recompiles.len())
+                .field("cache", &out.cache),
+        )
+        .pretty();
     std::fs::write(&args.out, json).expect("write BENCH_runtime.json");
     println!("wrote {}", args.out);
 }

@@ -33,6 +33,7 @@ use std::time::Instant;
 
 use njc_arch::Platform;
 use njc_ir::Module;
+use njc_observe::json::Json;
 use njc_runtime::{
     deep_chain_workload, hot_field_workload, many_hot_workload, phase_shift_workload,
     write_hot_workload, ServiceConfig, ServiceOutcome, ServiceRuntime, TenantSpec, PHASE_ALTERNATE,
@@ -130,9 +131,14 @@ fn percentile(sorted: &[u64], p: f64) -> u64 {
 }
 
 /// One sweep cell: `n` tenants stamped round-robin from the platform's
-/// workload set, one shared service. Returns the JSON fragment and pushes
-/// gate violations.
-fn run_sweep(platform: Platform, n: usize, smoke: bool, failures: &mut Vec<String>) -> String {
+/// workload set, one shared service. Returns the sweep's JSON object
+/// (`None` if the service faulted) and pushes gate violations.
+fn run_sweep(
+    platform: Platform,
+    n: usize,
+    smoke: bool,
+    failures: &mut Vec<String>,
+) -> Option<Json> {
     let ctx = format!("{}/{n}-tenants", platform.name);
     let workloads = workload_set(&platform, if smoke { 4 } else { 1 });
     let specs: Vec<TenantSpec> = (0..n)
@@ -157,7 +163,7 @@ fn run_sweep(platform: Platform, n: usize, smoke: bool, failures: &mut Vec<Strin
         Ok(out) => out,
         Err(f) => {
             failures.push(format!("{ctx}: service faulted: {f:?}"));
-            return String::new();
+            return None;
         }
     };
     let wall_ms = t.elapsed().as_secs_f64() * 1000.0;
@@ -204,16 +210,19 @@ fn run_sweep(platform: Platform, n: usize, smoke: bool, failures: &mut Vec<Strin
             .values()
             .map(|ov| ov.len())
             .sum();
-        rows.push(format!(
-            "      {{\"workload\":\"{}\",\"tenants\":{},\"iters\":{},\"cycles_per_iter\":{:.4},\"steady_traps\":{},\"steady_explicit_checks\":{},\"override_slots\":{}}}",
-            w.name,
-            members.len(),
-            w.iters,
-            steady.cycles as f64 / w.iters as f64,
-            steady.traps_taken,
-            steady.explicit_null_checks,
-            override_slots
-        ));
+        rows.push(
+            Json::object()
+                .field("workload", w.name)
+                .field("tenants", members.len())
+                .field("iters", w.iters)
+                .field(
+                    "cycles_per_iter",
+                    Json::Fixed(steady.cycles as f64 / w.iters as f64, 4),
+                )
+                .field("steady_traps", steady.traps_taken)
+                .field("steady_explicit_checks", steady.explicit_null_checks)
+                .field("override_slots", override_slots),
+        );
     }
 
     let hit_rate = {
@@ -226,7 +235,6 @@ fn run_sweep(platform: Platform, n: usize, smoke: bool, failures: &mut Vec<Strin
     };
     let mut lat = out.latencies_us.clone();
     lat.sort_unstable();
-    let occupancy: Vec<String> = out.shards.iter().map(|s| s.occupancy.to_string()).collect();
     println!(
         "{ctx}: {} workloads, {} fresh compiles vs {} isolated, {} dedup hits, cache hit rate {:.2}, queue p50/p99 {}/{} us, {:.0} ms",
         workloads.len(),
@@ -239,30 +247,40 @@ fn run_sweep(platform: Platform, n: usize, smoke: bool, failures: &mut Vec<Strin
         wall_ms
     );
 
-    format!(
-        "    {{\n      \"platform\": \"{}\",\n      \"tenants\": {},\n      \"rows\": [\n{}\n      ],\n      \"checks\": {{\"all_tenants_verified\":true,\"dedup_hits_gt_zero\":true,\"shared_compiles_lt_isolated\":true,\"uniform_steady_within_workload\":true}},\n      \"volatile\": {{\"wall_ms\":{:.3},\"cache_hit_rate\":{:.4},\"cache\":{{\"hits\":{},\"misses\":{},\"inserts\":{},\"evictions\":{}}},\"dedup_hits\":{},\"compiles_performed\":{},\"isolated_compiles\":{},\"queue\":{{\"submitted\":{},\"coalesced\":{},\"rejected\":{},\"batches\":{},\"completed\":{},\"aged_promotions\":{},\"latency_us_p50\":{},\"latency_us_p99\":{}}},\"shard_occupancy\":[{}],\"host_parallelism\":{}}}\n    }}",
-        platform.name,
-        n,
-        rows.join(",\n"),
-        wall_ms,
-        hit_rate,
-        out.cache.hits,
-        out.cache.misses,
-        out.cache.inserts,
-        out.cache.evictions,
-        out.dedup_hits,
-        out.compiles_performed,
-        out.isolated_compiles,
-        out.queue.submitted,
-        out.queue.coalesced,
-        out.queue.rejected,
-        out.queue.batches,
-        out.queue.completed,
-        out.queue.aged_promotions,
-        percentile(&lat, 0.50),
-        percentile(&lat, 0.99),
-        occupancy.join(","),
-        out.host_parallelism
+    let checks = Json::object()
+        .field("all_tenants_verified", true)
+        .field("dedup_hits_gt_zero", true)
+        .field("shared_compiles_lt_isolated", true)
+        .field("uniform_steady_within_workload", true);
+    let queue = Json::object()
+        .field("submitted", out.queue.submitted)
+        .field("coalesced", out.queue.coalesced)
+        .field("rejected", out.queue.rejected)
+        .field("batches", out.queue.batches)
+        .field("completed", out.queue.completed)
+        .field("aged_promotions", out.queue.aged_promotions)
+        .field("latency_us_p50", percentile(&lat, 0.50))
+        .field("latency_us_p99", percentile(&lat, 0.99));
+    let volatile = Json::object()
+        .field("wall_ms", Json::Fixed(wall_ms, 3))
+        .field("cache_hit_rate", Json::Fixed(hit_rate, 4))
+        .field("cache", &out.cache)
+        .field("dedup_hits", out.dedup_hits)
+        .field("compiles_performed", out.compiles_performed)
+        .field("isolated_compiles", out.isolated_compiles)
+        .field("queue", queue)
+        .field(
+            "shard_occupancy",
+            out.shards.iter().map(|s| s.occupancy).collect::<Json>(),
+        )
+        .field("host_parallelism", out.host_parallelism);
+    Some(
+        Json::object()
+            .field("platform", platform.name)
+            .field("tenants", n)
+            .field("rows", rows)
+            .field("checks", checks)
+            .field("volatile", volatile),
     )
 }
 
@@ -272,10 +290,7 @@ fn main() {
     let mut sweeps = Vec::new();
     for platform in [Platform::windows_ia32(), Platform::aix_ppc()] {
         for &n in &args.tenants {
-            let cell = run_sweep(platform, n, args.smoke, &mut failures);
-            if !cell.is_empty() {
-                sweeps.push(cell);
-            }
+            sweeps.extend(run_sweep(platform, n, args.smoke, &mut failures));
         }
     }
 
@@ -291,10 +306,11 @@ fn main() {
         return;
     }
 
-    let json = format!(
-        "{{\n  \"generated_by\": \"service_bench\",\n  \"note\": \"rows are deterministic cost-model results (reproducible); lines containing wall_ms or volatile carry wall-clock, scheduling, and host data and are excluded from the CI byte-identity comparison\",\n  \"sweeps\": [\n{}\n  ]\n}}\n",
-        sweeps.join(",\n")
-    );
+    let json = Json::object()
+        .field("generated_by", "service_bench")
+        .field("note", "rows are deterministic cost-model results (reproducible); lines containing wall_ms or volatile carry wall-clock, scheduling, and host data and are excluded from the CI byte-identity comparison")
+        .field("sweeps", sweeps)
+        .pretty();
     std::fs::write(&args.out, json).expect("write BENCH_service.json");
     println!("wrote {}", args.out);
 }

@@ -38,6 +38,7 @@ use njc_arch::Platform;
 use njc_codegen::{lower_module, Machine, MachineFault, MachineOutcome};
 use njc_emit::{emit_module, ByteMachine};
 use njc_ir::{ExceptionKind, FuncBuilder, Module, Op, Type};
+use njc_observe::json::Json;
 use njc_opt::{ConfigKind, OptConfig};
 use njc_recover::{RecoveryPolicy, RecoveryStrategy};
 use njc_vm::{Fault, Value, Vm, VmConfig};
@@ -291,82 +292,50 @@ impl DiffReport {
     pub fn is_clean(&self) -> bool {
         self.divergences.is_empty() && self.panicked_cells == 0
     }
+}
 
-    /// Hand-rolled JSON (the container has no serde).
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\")
-                .replace('"', "\\\"")
-                .replace('\n', "\\n")
-        }
-        let mut out = String::new();
-        out.push_str("{\n");
-        let _ = writeln!(out, "  \"programs\": {},", self.programs);
-        let _ = writeln!(out, "  \"cells\": {},", self.cells);
-        let _ = writeln!(
-            out,
-            "  \"claim9_confirmations\": {},",
-            self.claim9_confirmations
-        );
-        let _ = writeln!(out, "  \"ill_typed_cells\": {},", self.ill_typed_cells);
-        let _ = writeln!(out, "  \"panicked_cells\": {},", self.panicked_cells);
-        let _ = writeln!(out, "  \"byte_cells\": {},", self.byte_cells);
-        let _ = writeln!(out, "  \"recovery_cells\": {},", self.recovery_cells);
-        out.push_str("  \"recovery_observations\": [\n");
-        for (i, o) in self.recovery_observations.iter().enumerate() {
-            out.push_str("    {");
-            let _ = write!(
-                out,
-                "\"program\": \"{}\", \"config\": \"{}\", \"strategy\": \"{}\", \"class\": \"{}\"",
-                esc(&o.program),
-                esc(&o.config),
-                o.strategy,
-                esc(&o.class)
-            );
-            if let Some(m) = &o.minimized {
-                let _ = write!(out, ", \"minimized\": \"{}\"", esc(m));
-            }
-            if let Some(f) = &o.fixture {
-                let _ = write!(out, ", \"fixture\": \"{}\"", esc(&f.display().to_string()));
-            }
-            out.push('}');
-            out.push_str(if i + 1 < self.recovery_observations.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
-        out.push_str("  \"divergences\": [\n");
-        for (i, d) in self.divergences.iter().enumerate() {
-            out.push_str("    {");
-            let _ = write!(
-                out,
-                "\"program\": \"{}\", \"config\": \"{}\", \"left\": \"{}\", \"right\": \"{}\", \"detail\": \"{}\"",
-                esc(&d.program),
-                esc(&d.config),
-                esc(&d.left),
-                esc(&d.right),
-                esc(&d.detail)
-            );
-            if let Some(m) = &d.minimized {
-                let _ = write!(out, ", \"minimized\": \"{}\"", esc(m));
-            }
-            if let Some(f) = &d.fixture {
-                let _ = write!(out, ", \"fixture\": \"{}\"", esc(&f.display().to_string()));
-            }
-            if let Some(p) = &d.provenance {
-                let _ = write!(out, ", \"provenance\": \"{}\"", esc(p));
-            }
-            out.push('}');
-            out.push_str(if i + 1 < self.divergences.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ]\n}\n");
-        out
+/// The `DIFF_report.json` document.
+impl From<&DiffReport> for Json {
+    fn from(r: &DiffReport) -> Json {
+        let path = |p: &Option<PathBuf>| p.as_ref().map(|f| f.display().to_string());
+        let observations: Json = r
+            .recovery_observations
+            .iter()
+            .map(|o| {
+                Json::object()
+                    .field("program", &o.program)
+                    .field("config", &o.config)
+                    .field("strategy", o.strategy)
+                    .field("class", &o.class)
+                    .opt_field("minimized", o.minimized.as_ref())
+                    .opt_field("fixture", path(&o.fixture))
+            })
+            .collect();
+        let divergences: Json = r
+            .divergences
+            .iter()
+            .map(|d| {
+                Json::object()
+                    .field("program", &d.program)
+                    .field("config", &d.config)
+                    .field("left", &d.left)
+                    .field("right", &d.right)
+                    .field("detail", &d.detail)
+                    .opt_field("minimized", d.minimized.as_ref())
+                    .opt_field("fixture", path(&d.fixture))
+                    .opt_field("provenance", d.provenance.as_ref())
+            })
+            .collect();
+        Json::object()
+            .field("programs", r.programs)
+            .field("cells", r.cells)
+            .field("claim9_confirmations", r.claim9_confirmations)
+            .field("ill_typed_cells", r.ill_typed_cells)
+            .field("panicked_cells", r.panicked_cells)
+            .field("byte_cells", r.byte_cells)
+            .field("recovery_cells", r.recovery_cells)
+            .field("recovery_observations", observations)
+            .field("divergences", divergences)
     }
 }
 
@@ -1278,7 +1247,7 @@ fn recovery_observation_survives(
 /// # Errors
 /// Propagates the I/O error when the file cannot be written.
 pub fn write_report(report: &DiffReport, path: &Path) -> std::io::Result<()> {
-    std::fs::write(path, report.to_json())
+    std::fs::write(path, Json::from(report).pretty())
 }
 
 #[cfg(test)]
@@ -1490,8 +1459,7 @@ mod tests {
                     let insts = &f.blocks()[bi].insts;
                     (0..insts.len()).map(move |ii| (bi, ii))
                 })
-                .filter(|&(bi, ii)| matches!(f.blocks()[bi].insts[ii], Inst::NullCheck { .. }))
-                .next_back()
+                .rfind(|&(bi, ii)| matches!(f.blocks()[bi].insts[ii], Inst::NullCheck { .. }))
                 .expect("an explicit check must survive the honest analysis");
             f.insts_mut(njc_ir::BlockId::new(bi)).remove(ii);
             assert_ne!(
@@ -1557,7 +1525,7 @@ mod tests {
         let with_fixture = minimized.iter().find(|o| o.fixture.is_some()).unwrap();
         let text = std::fs::read_to_string(with_fixture.fixture.as_ref().unwrap()).unwrap();
         assert!(text.contains("func "), "fixture is replayable IR");
-        let json = report.to_json();
+        let json = Json::from(&report).pretty();
         assert!(json.contains("\"recovery_cells\""), "{json}");
         assert!(json.contains("\"recovery_observations\""), "{json}");
         let _ = std::fs::remove_dir_all(&fixtures);
@@ -1576,7 +1544,7 @@ mod tests {
             fixture: None,
             provenance: Some("check #0:\n  - origin".into()),
         });
-        let json = r.to_json();
+        let json = Json::from(&r).pretty();
         assert!(json.contains("\"divergences\""), "{json}");
         assert!(json.contains("\\\"quoted\\\""), "{json}");
         assert!(json.contains("\"provenance\""), "{json}");

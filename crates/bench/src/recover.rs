@@ -33,13 +33,13 @@
 //! the faulting coordinate ([`njc_recover::find_resume_point`]) with an
 //! explicit recheck — the outcome must equal the pure-VM reference run.
 
-use std::fmt::Write as _;
 use std::path::Path;
 
 use njc_arch::Platform;
 use njc_codegen::lower_module;
 use njc_emit::{emit_module, ByteMachine, TrapOutcome};
 use njc_ir::{ExceptionKind, Module, Type};
+use njc_observe::json::Json;
 use njc_opt::{ConfigKind, OptConfig};
 use njc_recover::{find_resume_point, frame_locals, rules, PatternRule, RecoveryPolicy};
 use njc_vm::{Outcome, Value, Vm};
@@ -420,58 +420,39 @@ impl RecoverReport {
     pub fn is_clean(&self) -> bool {
         self.cells.iter().all(PatternCell::ok) && self.drift.is_empty() && self.deopt.is_ok()
     }
+}
 
-    /// Hand-rolled JSON (the container has no serde), deterministic: no
-    /// timing or environment lines.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        fn esc(s: &str) -> String {
-            s.replace('\\', "\\\\")
-                .replace('"', "\\\"")
-                .replace('\n', "\\n")
-        }
-        let mut out = String::new();
-        out.push_str("{\n  \"cells\": [\n");
-        for (i, c) in self.cells.iter().enumerate() {
-            let _ = write!(
-                out,
-                "    {{\"rule\": \"{}\", \"strategy\": \"{}\", \"seed\": {}, \
-                 \"recovered\": {}, \"ok\": {}",
-                c.rule,
-                c.strategy,
-                c.seed,
-                c.recovered,
-                c.ok()
-            );
-            if let Some(m) = &c.mismatch {
-                let _ = write!(out, ", \"mismatch\": \"{}\"", esc(m));
-            }
-            if let Some(m) = &c.strict_mismatch {
-                let _ = write!(out, ", \"strict_mismatch\": \"{}\"", esc(m));
-            }
-            out.push('}');
-            out.push_str(if i + 1 < self.cells.len() {
-                ",\n"
-            } else {
-                "\n"
-            });
-        }
-        out.push_str("  ],\n");
-        let _ = writeln!(out, "  \"drift\": {},", self.drift.len());
-        for d in &self.drift {
-            let _ = writeln!(out, "  \"drifted\": \"{}\",", esc(d));
-        }
-        match &self.deopt {
-            Ok(s) => {
-                let _ = writeln!(out, "  \"deopt_round_trip\": \"{}\",", esc(s));
-            }
-            Err(e) => {
-                let _ = writeln!(out, "  \"deopt_round_trip_error\": \"{}\",", esc(e));
-            }
-        }
-        let _ = writeln!(out, "  \"clean\": {}", self.is_clean());
-        out.push_str("}\n");
-        out
+/// The `njc recover --json` report, deterministic: no timing or
+/// environment data.
+impl From<&RecoverReport> for Json {
+    fn from(r: &RecoverReport) -> Json {
+        let cells: Json = r
+            .cells
+            .iter()
+            .map(|c| {
+                Json::object()
+                    .field("rule", c.rule)
+                    .field("strategy", c.strategy)
+                    .field("seed", c.seed)
+                    .field("recovered", c.recovered)
+                    .field("ok", c.ok())
+                    .opt_field("mismatch", c.mismatch.as_ref())
+                    .opt_field("strict_mismatch", c.strict_mismatch.as_ref())
+            })
+            .collect();
+        let doc = Json::object()
+            .field("cells", cells)
+            .field("drift", r.drift.len());
+        let doc = if r.drift.is_empty() {
+            doc
+        } else {
+            doc.field("drifted", r.drift.iter().collect::<Json>())
+        };
+        let doc = match &r.deopt {
+            Ok(s) => doc.field("deopt_round_trip", s),
+            Err(e) => doc.field("deopt_round_trip_error", e),
+        };
+        doc.field("clean", r.is_clean())
     }
 }
 
@@ -526,8 +507,35 @@ mod tests {
         write_fixtures(&dir, &COMMITTED_SEEDS).unwrap();
         let a = RecoverReport::run(&[0], &dir);
         let b = RecoverReport::run(&[0], &dir);
-        assert_eq!(a.to_json(), b.to_json(), "two runs must render identically");
-        assert!(a.to_json().contains("\"deopt_round_trip\""));
+        let render = |r: &RecoverReport| Json::from(r).pretty();
+        assert_eq!(render(&a), render(&b), "two runs must render identically");
+        assert!(render(&a).contains("\"deopt_round_trip\""));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn report_json_lists_every_drifted_fixture_once() {
+        let dir = std::env::temp_dir().join("njc-recover-drift-json-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        write_fixtures(&dir, &[0]).unwrap();
+        let stale: Vec<_> = rules()[..2]
+            .iter()
+            .map(|r| dir.join(r.fixture_name(0)))
+            .collect();
+        for path in &stale {
+            std::fs::write(path, "# edited by hand\n").unwrap();
+        }
+        let report = RecoverReport {
+            cells: Vec::new(),
+            drift: fixture_drift(&dir, &[0]),
+            deopt: Ok("skipped".to_string()),
+        };
+        let json = Json::from(&report).pretty();
+        assert_eq!(json.matches("\"drifted\"").count(), 1, "{json}");
+        assert!(json.contains("\"drift\": 2"), "{json}");
+        for path in &stale {
+            assert!(json.contains(&path.display().to_string()), "{json}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -511,7 +511,7 @@ mod tests {
         let asm = infer(&m);
         assert!(
             asm.function("use")
-                .map_or(true, |ff| ff.nonnull_params.is_empty()),
+                .is_none_or(|ff| ff.nonnull_params.is_empty()),
             "a maybe-null site must block the fact: {asm:?}"
         );
     }
@@ -554,11 +554,11 @@ mod tests {
         let asm = infer(&m);
         assert!(asm.function("mk").unwrap().nonnull_return);
         assert!(
-            asm.function("odd").map_or(true, |ff| !ff.nonnull_return),
+            asm.function("odd").is_none_or(|ff| !ff.nonnull_return),
             "odd returns null on the base path: {asm:?}"
         );
         assert!(
-            asm.function("even").map_or(true, |ff| !ff.nonnull_return),
+            asm.function("even").is_none_or(|ff| !ff.nonnull_return),
             "even forwards odd's maybe-null value: {asm:?}"
         );
     }
@@ -599,7 +599,7 @@ mod tests {
         m.add_function(b.finish());
         let asm = infer(&m);
         assert!(asm.function("A_get").unwrap().nonnull_return);
-        assert!(asm.function("B_get").map_or(true, |ff| !ff.nonnull_return));
+        assert!(asm.function("B_get").is_none_or(|ff| !ff.nonnull_return));
         let ctx = AnalysisCtx::new(&m, TrapModel::no_traps()).with_assumptions(Some(&asm));
         let virt = CallTarget::Virtual {
             class: a,
@@ -668,7 +668,7 @@ mod tests {
         let asm = infer(&m);
         assert!(
             asm.function("lonely")
-                .map_or(true, |ff| ff.nonnull_params.is_empty()),
+                .is_none_or(|ff| ff.nonnull_params.is_empty()),
             "{asm:?}"
         );
     }

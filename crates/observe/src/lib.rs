@@ -28,7 +28,11 @@ use std::fmt::Write as _;
 use std::time::{Duration, Instant};
 
 use njc_ir::{BlockId, CheckId, FieldId, Function, FunctionId, Inst, VarId};
-use njc_recover::RecoveryStrategy;
+use njc_recover::{RecoveryCounts, RecoveryStrategy};
+
+pub mod json;
+
+use json::Json;
 
 // ---------------------------------------------------------------------------
 // Events
@@ -532,177 +536,134 @@ pub struct ModuleTrace {
     pub functions: Vec<FunctionTrace>,
 }
 
-fn esc(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
+impl From<&Redundancy> for Json {
+    fn from(why: &Redundancy) -> Json {
+        let fact = |name: &str| Json::object().field("fact", name);
+        match why {
+            Redundancy::NonNullAtEntry => fact("nonnull-at-entry"),
+            Redundancy::PriorCheck(id) => fact("prior-check").field("check", id.0),
+            Redundancy::Allocation => fact("allocation"),
+            Redundancy::Interproc(InterprocFact::Param { param, sites }) => fact("interproc-param")
+                .field("param", param.0)
+                .field("sites", *sites),
+            Redundancy::Interproc(InterprocFact::Return { callee }) => {
+                fact("interproc-return").field("callee", callee.0)
             }
-            c => out.push(c),
+            Redundancy::Interproc(InterprocFact::Field { field }) => {
+                fact("interproc-field").field("field", field.0)
+            }
+            Redundancy::Gvn {
+                representative,
+                class_size,
+            } => fact("gvn")
+                .field("representative", representative.0)
+                .field("class_size", *class_size),
         }
     }
-    out
 }
 
-fn redundancy_json(why: &Redundancy) -> String {
-    match why {
-        Redundancy::NonNullAtEntry => "{\"fact\":\"nonnull-at-entry\"}".to_string(),
-        Redundancy::PriorCheck(id) => format!("{{\"fact\":\"prior-check\",\"check\":{}}}", id.0),
-        Redundancy::Allocation => "{\"fact\":\"allocation\"}".to_string(),
-        Redundancy::Interproc(fact) => match fact {
-            InterprocFact::Param { param, sites } => format!(
-                "{{\"fact\":\"interproc-param\",\"param\":{},\"sites\":{sites}}}",
-                param.0
-            ),
-            InterprocFact::Return { callee } => {
-                format!("{{\"fact\":\"interproc-return\",\"callee\":{}}}", callee.0)
-            }
-            InterprocFact::Field { field } => {
-                format!("{{\"fact\":\"interproc-field\",\"field\":{}}}", field.0)
-            }
-        },
-        Redundancy::Gvn {
-            representative,
-            class_size,
-        } => format!(
-            "{{\"fact\":\"gvn\",\"representative\":{},\"class_size\":{class_size}}}",
-            representative.0
-        ),
-    }
-}
-
-impl CheckEvent {
-    /// One-object JSON encoding (stable field order; no timestamps, so the
-    /// stream is byte-identical across runs and thread counts).
-    pub fn to_json(&self) -> String {
-        match self {
-            CheckEvent::Origin { id, var, block } => format!(
-                "{{\"ev\":\"origin\",\"id\":{},\"var\":{},\"block\":{}}}",
-                id.0, var.0, block.0
-            ),
-            CheckEvent::Phase1Inserted { id, var, block } => format!(
-                "{{\"ev\":\"phase1-inserted\",\"id\":{},\"var\":{},\"block\":{}}}",
-                id.0, var.0, block.0
-            ),
+/// One event object (stable field order; no timestamps, so the stream is
+/// byte-identical across runs and thread counts).
+impl From<&CheckEvent> for Json {
+    fn from(e: &CheckEvent) -> Json {
+        let at = |ev: &str, id: &CheckId, var: &VarId, block: &BlockId| {
+            Json::object()
+                .field("ev", ev)
+                .field("id", id.0)
+                .field("var", var.0)
+                .field("block", block.0)
+        };
+        match e {
+            CheckEvent::Origin { id, var, block } => at("origin", id, var, block),
+            CheckEvent::Phase1Inserted { id, var, block } => at("phase1-inserted", id, var, block),
             CheckEvent::Phase1Eliminated {
                 id,
                 var,
                 block,
                 why,
-            } => format!(
-                "{{\"ev\":\"phase1-eliminated\",\"id\":{},\"var\":{},\"block\":{},\"why\":{}}}",
-                id.0,
-                var.0,
-                block.0,
-                redundancy_json(why)
-            ),
+            } => at("phase1-eliminated", id, var, block).field("why", why),
             CheckEvent::WhaleyEliminated {
                 id,
                 var,
                 block,
                 why,
-            } => format!(
-                "{{\"ev\":\"whaley-eliminated\",\"id\":{},\"var\":{},\"block\":{},\"why\":{}}}",
-                id.0,
-                var.0,
-                block.0,
-                redundancy_json(why)
-            ),
+            } => at("whaley-eliminated", id, var, block).field("why", why),
             CheckEvent::TrivialConverted {
                 id,
                 var,
                 block,
                 site_ordinal,
-            } => format!(
-                "{{\"ev\":\"trivial-converted\",\"id\":{},\"var\":{},\"block\":{},\"site\":{site_ordinal}}}",
-                id.0, var.0, block.0
-            ),
-            CheckEvent::Phase2Absorbed { id, var, block } => format!(
-                "{{\"ev\":\"phase2-absorbed\",\"id\":{},\"var\":{},\"block\":{}}}",
-                id.0, var.0, block.0
-            ),
+            } => at("trivial-converted", id, var, block).field("site", *site_ordinal),
+            CheckEvent::Phase2Absorbed { id, var, block } => at("phase2-absorbed", id, var, block),
             CheckEvent::Phase2Merged {
                 id,
                 var,
                 block,
                 into,
-            } => format!(
-                "{{\"ev\":\"phase2-merged\",\"id\":{},\"var\":{},\"block\":{},\"into\":{}}}",
-                id.0, var.0, block.0, into.0
-            ),
-            CheckEvent::Phase2Respawn { id, var, block } => format!(
-                "{{\"ev\":\"phase2-respawn\",\"id\":{},\"var\":{},\"block\":{}}}",
-                id.0, var.0, block.0
-            ),
+            } => at("phase2-merged", id, var, block).field("into", into.0),
+            CheckEvent::Phase2Respawn { id, var, block } => at("phase2-respawn", id, var, block),
             CheckEvent::Phase2Converted {
                 id,
                 var,
                 block,
                 site_ordinal,
                 rule,
-            } => format!(
-                "{{\"ev\":\"phase2-converted\",\"id\":{},\"var\":{},\"block\":{},\"site\":{site_ordinal},\"rule\":\"{}\"}}",
-                id.0,
-                var.0,
-                block.0,
-                esc(rule)
-            ),
+            } => at("phase2-converted", id, var, block)
+                .field("site", *site_ordinal)
+                .field("rule", rule),
             CheckEvent::Phase2Explicit {
                 id,
                 var,
                 block,
                 cause,
-            } => format!(
-                "{{\"ev\":\"phase2-explicit\",\"id\":{},\"var\":{},\"block\":{},\"cause\":\"{}\"}}",
-                id.0,
-                var.0,
-                block.0,
+            } => at("phase2-explicit", id, var, block).field(
+                "cause",
                 match cause {
                     ExplicitCause::Hazard => "hazard",
                     ExplicitCause::Barrier => "barrier",
                     ExplicitCause::Overwrite => "overwrite",
                     ExplicitCause::BlockEnd => "block-end",
                     ExplicitCause::Override => "override",
-                }
+                },
             ),
-            CheckEvent::Phase2Postponed { id, var, block } => format!(
-                "{{\"ev\":\"phase2-postponed\",\"id\":{},\"var\":{},\"block\":{}}}",
-                id.0, var.0, block.0
-            ),
-            CheckEvent::Phase2Substituted {
-                id,
-                var,
-                block,
-                by,
-            } => format!(
-                "{{\"ev\":\"phase2-substituted\",\"id\":{},\"var\":{},\"block\":{},\"by\":{}}}",
-                id.0,
-                var.0,
-                block.0,
-                match by {
-                    Cover::Check(c) => format!("{{\"kind\":\"check\",\"check\":{}}}", c.0),
-                    Cover::TrapSite { block } =>
-                        format!("{{\"kind\":\"trap-site\",\"block\":{}}}", block.0),
-                    Cover::CrossBlock => "{\"kind\":\"cross-block\"}".to_string(),
-                }
-            ),
+            CheckEvent::Phase2Postponed { id, var, block } => {
+                at("phase2-postponed", id, var, block)
+            }
+            CheckEvent::Phase2Substituted { id, var, block, by } => {
+                at("phase2-substituted", id, var, block).field(
+                    "by",
+                    match by {
+                        Cover::Check(c) => {
+                            Json::object().field("kind", "check").field("check", c.0)
+                        }
+                        Cover::TrapSite { block } => Json::object()
+                            .field("kind", "trap-site")
+                            .field("block", block.0),
+                        Cover::CrossBlock => Json::object().field("kind", "cross-block"),
+                    },
+                )
+            }
             CheckEvent::Recovery {
                 id,
                 strategy,
                 count,
-            } => format!(
-                "{{\"ev\":\"recovery\",\"id\":{},\"strategy\":\"{}\",\"count\":{count}}}",
-                id.0,
-                strategy.as_str()
-            ),
-            CheckEvent::PassDelta { pass, delta } => {
-                format!("{{\"ev\":\"pass-delta\",\"pass\":\"{pass}\",\"delta\":{delta}}}")
-            }
+            } => Json::object()
+                .field("ev", "recovery")
+                .field("id", id.0)
+                .field("strategy", strategy.as_str())
+                .field("count", *count),
+            CheckEvent::PassDelta { pass, delta } => Json::object()
+                .field("ev", "pass-delta")
+                .field("pass", *pass)
+                .field("delta", *delta),
         }
+    }
+}
+
+impl CheckEvent {
+    /// The event's compact JSON object.
+    pub fn to_json(&self) -> String {
+        Json::from(self).compact()
     }
 
     /// The check id this event is about, if any.
@@ -933,62 +894,50 @@ impl FunctionTrace {
         );
         out
     }
+}
 
-    fn to_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"function\":\"{}\",\"events\":[",
-            esc(&self.function)
-        );
-        for (i, e) in self.events.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&e.to_json());
-        }
-        out.push_str("],\"sites\":[");
-        for (i, s) in self.sites.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let prov = match &s.provenance {
-                SiteProvenance::Converted(id) => {
-                    format!("{{\"kind\":\"phase2\",\"check\":{}}}", id.0)
-                }
-                SiteProvenance::Trivial(id) => {
-                    format!("{{\"kind\":\"trivial\",\"check\":{}}}", id.0)
-                }
-                SiteProvenance::OverMark => "{\"kind\":\"over-mark\"}".to_string(),
-            };
-            let _ = write!(
-                out,
-                "{{\"block\":{},\"inst\":{},\"var\":{},\"provenance\":{prov}}}",
-                s.block.0, s.inst_idx, s.var.0
-            );
-        }
-        let l = &self.ledger;
-        let _ = write!(
-            out,
-            "],\"ledger\":{{\"origins\":{},\"phase1_inserted\":{},\"respawned\":{},\
-             \"other_inserted\":{},\"converted_implicit\":{},\"explicit_final\":{},\
-             \"phase1_eliminated\":{},\"whaley_eliminated\":{},\"merged\":{},\"postponed\":{},\
-             \"other_removed\":{},\"substituted\":{},\"balanced\":{}}}}}",
-            l.origins,
-            l.phase1_inserted,
-            l.respawned,
-            l.other_inserted,
-            l.converted_implicit,
-            l.explicit_final,
-            l.phase1_eliminated,
-            l.whaley_eliminated,
-            l.merged,
-            l.postponed,
-            l.other_removed,
-            l.substituted,
-            l.check().is_ok()
-        );
-        out
+impl From<&FunctionTrace> for Json {
+    fn from(f: &FunctionTrace) -> Json {
+        let sites: Json = f
+            .sites
+            .iter()
+            .map(|s| {
+                let prov = match &s.provenance {
+                    SiteProvenance::Converted(id) => {
+                        Json::object().field("kind", "phase2").field("check", id.0)
+                    }
+                    SiteProvenance::Trivial(id) => {
+                        Json::object().field("kind", "trivial").field("check", id.0)
+                    }
+                    SiteProvenance::OverMark => Json::object().field("kind", "over-mark"),
+                };
+                Json::object()
+                    .field("block", s.block.0)
+                    .field("inst", s.inst_idx)
+                    .field("var", s.var.0)
+                    .field("provenance", prov)
+            })
+            .collect();
+        let l = &f.ledger;
+        let ledger = Json::object()
+            .field("origins", l.origins)
+            .field("phase1_inserted", l.phase1_inserted)
+            .field("respawned", l.respawned)
+            .field("other_inserted", l.other_inserted)
+            .field("converted_implicit", l.converted_implicit)
+            .field("explicit_final", l.explicit_final)
+            .field("phase1_eliminated", l.phase1_eliminated)
+            .field("whaley_eliminated", l.whaley_eliminated)
+            .field("merged", l.merged)
+            .field("postponed", l.postponed)
+            .field("other_removed", l.other_removed)
+            .field("substituted", l.substituted)
+            .field("balanced", l.check().is_ok());
+        Json::object()
+            .field("function", &f.function)
+            .field("events", f.events.iter().map(Json::from).collect::<Json>())
+            .field("sites", sites)
+            .field("ledger", ledger)
     }
 }
 
@@ -1001,21 +950,14 @@ impl ModuleTrace {
     /// The deterministic JSON event stream: no timestamps, function-index
     /// order, byte-identical across runs and thread counts.
     pub fn to_events_json(&self) -> String {
-        let mut out = String::new();
-        let _ = write!(
-            out,
-            "{{\"config\":\"{}\",\"platform\":\"{}\",\"functions\":[",
-            esc(&self.config),
-            esc(&self.platform)
-        );
-        for (i, f) in self.functions.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&f.to_json());
-        }
-        out.push_str("]}\n");
-        out
+        let doc = Json::object()
+            .field("config", &self.config)
+            .field("platform", &self.platform)
+            .field(
+                "functions",
+                self.functions.iter().map(Json::from).collect::<Json>(),
+            );
+        doc.compact() + "\n"
     }
 
     /// Checks the conservation ledger of every function.
@@ -1037,32 +979,24 @@ impl ModuleTrace {
 /// Timings are measurements, so unlike the event stream this output is not
 /// expected to be deterministic.
 pub fn chrome_trace_json(passes: &[(&str, Duration)], wall: Duration) -> String {
-    let mut out = String::from("{\"traceEvents\":[");
+    let event = |name: &str, ts: u128, dur: u128, tid: u32, cat: &str| {
+        Json::object()
+            .field("name", name)
+            .field("ph", "X")
+            .field("ts", ts)
+            .field("dur", dur)
+            .field("pid", 1u32)
+            .field("tid", tid)
+            .field("cat", cat)
+    };
+    let mut events = Vec::with_capacity(passes.len() + 1);
     let mut ts = 0u128;
-    for (i, (name, d)) in passes.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let us = d.as_micros();
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"ts\":{ts},\"dur\":{us},\"pid\":1,\"tid\":1,\
-             \"cat\":\"pass\"}}",
-            esc(name)
-        );
-        ts += us;
+    for (name, d) in passes {
+        events.push(event(name, ts, d.as_micros(), 1, "pass"));
+        ts += d.as_micros();
     }
-    if !passes.is_empty() {
-        out.push(',');
-    }
-    let _ = write!(
-        out,
-        "{{\"name\":\"wall\",\"ph\":\"X\",\"ts\":0,\"dur\":{},\"pid\":1,\"tid\":0,\
-         \"cat\":\"pipeline\"}}",
-        wall.as_micros()
-    );
-    out.push_str("]}\n");
-    out
+    events.push(event("wall", 0, wall.as_micros(), 0, "pipeline"));
+    Json::object().field("traceEvents", events).compact() + "\n"
 }
 
 // ---------------------------------------------------------------------------
@@ -1161,6 +1095,17 @@ pub fn reconcile_tiered(
         Ok(())
     } else {
         Err(missing)
+    }
+}
+
+/// Per-strategy recovery counts plus their total.
+impl From<&RecoveryCounts> for Json {
+    fn from(c: &RecoveryCounts) -> Json {
+        Json::object()
+            .field("strict", c.strict)
+            .field("nullobject", c.null_object)
+            .field("skipeffect", c.skip_effect)
+            .field("total", c.total())
     }
 }
 
@@ -1282,22 +1227,6 @@ pub struct RecompileEvent {
     pub mid_run: bool,
     /// VM call count in the profile snapshot that triggered the decision.
     pub at_calls: u64,
-}
-
-impl RecompileEvent {
-    /// Deterministic single-line JSON (stable field order).
-    pub fn to_json(&self) -> String {
-        format!(
-            "{{\"ev\":\"recompile\",\"function\":\"{}\",\"to\":\"{}\",\"overrides\":{},\
-             \"cache_hit\":{},\"mid_run\":{},\"at_calls\":{}}}",
-            esc(&self.function),
-            esc(&self.to_config),
-            self.overrides,
-            self.cache_hit,
-            self.mid_run,
-            self.at_calls
-        )
-    }
 }
 
 // ---------------------------------------------------------------------------

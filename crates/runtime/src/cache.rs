@@ -14,6 +14,7 @@ use std::sync::Arc;
 use njc_arch::TrapModel;
 use njc_core::ExplicitOverride;
 use njc_ir::{AccessKind, Function};
+use njc_observe::json::Json;
 use njc_observe::FunctionTrace;
 use njc_opt::ConfigKind;
 
@@ -108,6 +109,16 @@ pub struct CacheStats {
     pub evictions: u64,
     /// Artifacts inserted.
     pub inserts: u64,
+}
+
+impl From<&CacheStats> for Json {
+    fn from(c: &CacheStats) -> Json {
+        Json::object()
+            .field("hits", c.hits)
+            .field("misses", c.misses)
+            .field("inserts", c.inserts)
+            .field("evictions", c.evictions)
+    }
 }
 
 /// An LRU-evicting, content-addressed artifact cache.

@@ -131,6 +131,7 @@ use std::process::ExitCode;
 use njc_arch::Platform;
 use njc_bench::difftest::{run_difftest, write_report, DiffOptions};
 use njc_ir::{CheckId, FunctionId, Module, Type};
+use njc_observe::json::Json;
 use njc_observe::{chrome_trace_json, reconcile, ModuleTrace};
 use njc_opt::{ConfigKind, OptConfig, PipelineStats};
 use njc_vm::{SiteCounters, Vm, VmConfig};
@@ -320,17 +321,6 @@ fn runtime_smoke() -> ExitCode {
     }
 }
 
-/// Renders per-strategy recovery counts as a JSON object.
-fn recovery_counts_json(c: &njc_runtime::RecoveryCounts) -> String {
-    format!(
-        "{{\"strict\":{},\"nullobject\":{},\"skipeffect\":{},\"total\":{}}}",
-        c.strict,
-        c.null_object,
-        c.skip_effect,
-        c.total()
-    )
-}
-
 /// Verifies a tiered-runtime outcome without printing (the `--json` path):
 /// tiered reconciliation — including that every recovered trap maps back to
 /// site provenance — and override convergence.
@@ -350,50 +340,43 @@ fn verify_runtime_outcome(out: &njc_runtime::RuntimeOutcome) -> Vec<String> {
 /// run-to-run; adaptive counters (swap timing, cache traffic, recoveries
 /// absorbed before an override landed) ride on the `"volatile"` line, which
 /// the CI byte-identity comparison strips — the BENCH_*.json discipline.
-fn runtime_json(
+fn runtime_report(
     platform: &Platform,
     recover: njc_runtime::RecoveryStrategy,
     out: &njc_runtime::RuntimeOutcome,
     verified: bool,
-) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"generated_by\": \"njc runtime\",");
-    let _ = writeln!(s, "  \"platform\": \"{}\",", platform.name);
-    let _ = writeln!(s, "  \"recover\": \"{}\",", recover.as_str());
-    let _ = writeln!(
-        s,
-        "  \"steady\": {{\"cycles\":{},\"traps_taken\":{},\"explicit_null_checks\":{},\"missed_npes\":{},\"recoveries\":{}}},",
-        out.steady.stats.cycles,
-        out.steady.stats.traps_taken,
-        out.steady.stats.explicit_null_checks,
-        out.steady.stats.missed_npes,
-        recovery_counts_json(&out.steady.stats.recoveries)
-    );
-    let overrides: Vec<String> = out
+) -> Json {
+    let steady = &out.steady.stats;
+    let overrides = out
         .overrides
         .iter()
-        .map(|(name, ov)| format!("\"{name}\":{}", ov.len()))
-        .collect();
-    let _ = writeln!(s, "  \"overrides\": {{{}}},", overrides.join(","));
-    let _ = writeln!(s, "  \"compile_panics\": {},", out.compile_panics);
-    let _ = writeln!(s, "  \"verified\": {verified},");
-    let _ = writeln!(
-        s,
-        "  \"volatile\": {{\"adaptive_cycles\":{},\"adaptive_traps\":{},\"mid_run_swaps\":{},\"recompiles\":{},\"recoveries_total\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"inserts\":{},\"evictions\":{}}}}}",
-        out.adaptive.stats.cycles,
-        out.adaptive.stats.traps_taken,
-        out.mid_run_swaps,
-        out.recompiles.len(),
-        recovery_counts_json(&out.recoveries),
-        out.cache.hits,
-        out.cache.misses,
-        out.cache.inserts,
-        out.cache.evictions
-    );
-    s.push_str("}\n");
-    s
+        .fold(Json::object(), |o, (name, ov)| o.field(name, ov.len()));
+    Json::object()
+        .field("generated_by", "njc runtime")
+        .field("platform", platform.name)
+        .field("recover", recover.as_str())
+        .field(
+            "steady",
+            Json::object()
+                .field("cycles", steady.cycles)
+                .field("traps_taken", steady.traps_taken)
+                .field("explicit_null_checks", steady.explicit_null_checks)
+                .field("missed_npes", steady.missed_npes)
+                .field("recoveries", &steady.recoveries),
+        )
+        .field("overrides", overrides)
+        .field("compile_panics", out.compile_panics)
+        .field("verified", verified)
+        .field(
+            "volatile",
+            Json::object()
+                .field("adaptive_cycles", out.adaptive.stats.cycles)
+                .field("adaptive_traps", out.adaptive.stats.traps_taken)
+                .field("mid_run_swaps", out.mid_run_swaps)
+                .field("recompiles", out.recompiles.len())
+                .field("recoveries_total", &out.recoveries)
+                .field("cache", &out.cache),
+        )
 }
 
 fn runtime_main(args: &[String]) -> ExitCode {
@@ -462,7 +445,7 @@ fn runtime_main(args: &[String]) -> ExitCode {
         let failures = verify_runtime_outcome(&out);
         print!(
             "{}",
-            runtime_json(&platform, recover, &out, failures.is_empty())
+            runtime_report(&platform, recover, &out, failures.is_empty()).pretty()
         );
         failures
     } else {
@@ -683,57 +666,52 @@ fn service_smoke(tenants: usize) -> ExitCode {
 /// single-tenant reference byte-for-byte); fleet-level scheduling data —
 /// cache and queue traffic, dedup, compile counts, adaptive recoveries —
 /// ride on the `"volatile"` line.
-fn service_json(
+fn service_report(
     platform: &Platform,
     recover: njc_runtime::RecoveryStrategy,
     out: &njc_runtime::ServiceOutcome,
     verified: bool,
-) -> String {
-    use std::fmt::Write as _;
-    let mut s = String::new();
-    s.push_str("{\n");
-    let _ = writeln!(s, "  \"generated_by\": \"njc service\",");
-    let _ = writeln!(s, "  \"platform\": \"{}\",", platform.name);
-    let _ = writeln!(s, "  \"recover\": \"{}\",", recover.as_str());
-    let _ = writeln!(s, "  \"tenants\": {},", out.tenants.len());
-    s.push_str("  \"tenant_rows\": [\n");
-    for (i, t) in out.tenants.iter().enumerate() {
-        let _ = write!(
-            s,
-            "    {{\"name\": \"{}\", \"steady\": {{\"cycles\":{},\"traps_taken\":{},\"explicit_null_checks\":{},\"recoveries\":{}}}}}",
-            t.name,
-            t.outcome.steady.stats.cycles,
-            t.outcome.steady.stats.traps_taken,
-            t.outcome.steady.stats.explicit_null_checks,
-            recovery_counts_json(&t.outcome.steady.stats.recoveries)
-        );
-        s.push_str(if i + 1 < out.tenants.len() {
-            ",\n"
-        } else {
-            "\n"
-        });
-    }
-    s.push_str("  ],\n");
-    let _ = writeln!(s, "  \"verified\": {verified},");
-    let _ = writeln!(
-        s,
-        "  \"volatile\": {{\"compiles_performed\":{},\"isolated_compiles\":{},\"dedup_hits\":{},\"recoveries_total\":{},\"cache\":{{\"hits\":{},\"misses\":{},\"inserts\":{},\"evictions\":{}}},\"queue\":{{\"submitted\":{},\"coalesced\":{},\"rejected\":{},\"batches\":{},\"aged_promotions\":{}}}}}",
-        out.compiles_performed,
-        out.isolated_compiles,
-        out.dedup_hits,
-        recovery_counts_json(&out.recoveries),
-        out.cache.hits,
-        out.cache.misses,
-        out.cache.inserts,
-        out.cache.evictions,
-        out.queue.submitted,
-        out.queue.coalesced,
-        out.queue.rejected,
-        out.queue.batches,
-        out.queue.aged_promotions
-    );
-    s.push_str("}\n");
-    s
+) -> Json {
+    let rows: Json = out
+        .tenants
+        .iter()
+        .map(|t| {
+            let steady = &t.outcome.steady.stats;
+            Json::object().field("name", &t.name).field(
+                "steady",
+                Json::object()
+                    .field("cycles", steady.cycles)
+                    .field("traps_taken", steady.traps_taken)
+                    .field("explicit_null_checks", steady.explicit_null_checks)
+                    .field("recoveries", &steady.recoveries),
+            )
+        })
+        .collect();
+    Json::object()
+        .field("generated_by", "njc service")
+        .field("platform", platform.name)
+        .field("recover", recover.as_str())
+        .field("tenants", out.tenants.len())
+        .field("tenant_rows", rows)
+        .field("verified", verified)
+        .field(
+            "volatile",
+            Json::object()
+                .field("compiles_performed", out.compiles_performed)
+                .field("isolated_compiles", out.isolated_compiles)
+                .field("dedup_hits", out.dedup_hits)
+                .field("recoveries_total", &out.recoveries)
+                .field("cache", &out.cache)
+                .field(
+                    "queue",
+                    Json::object()
+                        .field("submitted", out.queue.submitted)
+                        .field("coalesced", out.queue.coalesced)
+                        .field("rejected", out.queue.rejected)
+                        .field("batches", out.queue.batches)
+                        .field("aged_promotions", out.queue.aged_promotions),
+                ),
+        )
 }
 
 fn service_main(args: &[String]) -> ExitCode {
@@ -805,7 +783,10 @@ fn service_main(args: &[String]) -> ExitCode {
     };
     let verify = out.verify();
     if json {
-        print!("{}", service_json(&platform, recover, &out, verify.is_ok()));
+        print!(
+            "{}",
+            service_report(&platform, recover, &out, verify.is_ok()).pretty()
+        );
         return match verify {
             Ok(()) => ExitCode::SUCCESS,
             Err(errs) => {
@@ -1652,7 +1633,7 @@ fn recover_main(args: &[String]) -> ExitCode {
     let _ = smoke; // --smoke is the committed-corpus run, which is the default
     let report = RecoverReport::run(&seed_list, &fixtures);
     if json {
-        print!("{}", report.to_json());
+        print!("{}", Json::from(&report).pretty());
     } else {
         for c in &report.cells {
             let status = if c.ok() { "ok" } else { "FAIL" };

@@ -137,7 +137,9 @@ fn ppc_conditional_trap_is_cheaper() {
 
 /// Claim 7 (Table 4/5 shape): the two-phase optimization costs more
 /// compile time than Whaley's, but the nullcheck share of the pipeline
-/// stays small.
+/// stays small. Thread CPU time of a single compile is noisy under load,
+/// so each configuration is compiled 5 times, interleaved, and the medians
+/// are compared.
 #[test]
 fn compile_time_shape() {
     let p = Platform::windows_ia32();
@@ -145,15 +147,26 @@ fn compile_time_shape() {
         .into_iter()
         .find(|w| w.name == "javac")
         .unwrap();
-    let new = compile(&w, &p, ConfigKind::Full);
-    let old = compile(&w, &p, ConfigKind::OldNullCheck);
-    let new_nc = new.stats.nullcheck_time().as_secs_f64();
-    let old_nc = old.stats.nullcheck_time().as_secs_f64();
+    let median = |mut xs: Vec<f64>| {
+        xs.sort_by(f64::total_cmp);
+        xs[xs.len() / 2]
+    };
+    let (mut new_ncs, mut old_ncs, mut shares) = (Vec::new(), Vec::new(), Vec::new());
+    for _ in 0..5 {
+        let new = compile(&w, &p, ConfigKind::Full);
+        let old = compile(&w, &p, ConfigKind::OldNullCheck);
+        let nc = new.stats.nullcheck_time().as_secs_f64();
+        new_ncs.push(nc);
+        shares.push(nc / new.stats.total_time().as_secs_f64());
+        old_ncs.push(old.stats.nullcheck_time().as_secs_f64());
+    }
+    let new_nc = median(new_ncs);
+    let old_nc = median(old_ncs);
     assert!(
         new_nc > old_nc,
         "two-phase must cost more pass time than forward-only"
     );
-    let share = new_nc / new.stats.total_time().as_secs_f64();
+    let share = median(shares);
     assert!(
         share < 0.5,
         "nullcheck share of pipeline should stay a minority: {share:.2}"
