@@ -3,7 +3,9 @@
 //! The verifier and the byte-level interpreter both run on decoded
 //! instructions, so the encoder's output is *proven* self-describing: the
 //! round-trip test re-encodes every decoded instruction and demands the
-//! original bytes back ([`Dec::encode`]).
+//! original bytes back ([`Dec::encode`]). [`sweep`] is the one linear
+//! walk over a function's bytes that the verifier, the interpreter's
+//! per-run pre-decode and the round-trip test share.
 
 use std::fmt;
 
@@ -458,6 +460,40 @@ pub fn decode_one(bytes: &[u8], pos: usize) -> Result<(Dec, usize), DecodeError>
     Ok((dec, len))
 }
 
+/// A linear sweep over `code` from offset 0: yields every instruction as
+/// `(offset, decoded, length)`, and stops after the first undecodable
+/// byte (yielded as its [`DecodeError`]).
+pub fn sweep(code: &[u8]) -> Sweep<'_> {
+    Sweep { code, pos: 0 }
+}
+
+/// The iterator [`sweep`] returns.
+pub struct Sweep<'a> {
+    code: &'a [u8],
+    pos: usize,
+}
+
+impl Iterator for Sweep<'_> {
+    type Item = Result<(usize, Dec, usize), DecodeError>;
+
+    fn next(&mut self) -> Option<Self::Item> {
+        if self.pos >= self.code.len() {
+            return None;
+        }
+        let at = self.pos;
+        Some(match decode_one(self.code, at) {
+            Ok((dec, len)) => {
+                self.pos += len;
+                Ok((at, dec, len))
+            }
+            Err(e) => {
+                self.pos = self.code.len();
+                Err(e)
+            }
+        })
+    }
+}
+
 impl Dec {
     /// Re-encodes the instruction, appending to `out`. The round-trip
     /// property `encode(decode(bytes)) == bytes` is what makes the decoder
@@ -581,5 +617,27 @@ mod tests {
         // mov rax, [rbp + 12] — not a multiple of 8, outside the subset.
         let bytes = [0x48, 0x8B, 0x85, 12, 0, 0, 0];
         assert!(decode_one(&bytes, 0).is_err());
+    }
+
+    #[test]
+    fn sweep_yields_offsets_and_stops_after_the_first_error() {
+        // ret; syscall; nop (not emitted); ret — the trailing ret is never
+        // reached.
+        let code = [0xC3, 0x0F, 0x05, 0x90, 0xC3];
+        let got: Vec<_> = sweep(&code).collect();
+        assert_eq!(
+            got,
+            vec![
+                Ok((0, Dec::Ret, 1)),
+                Ok((1, Dec::Syscall, 2)),
+                Err(DecodeError { pos: 3, byte: 0x90 }),
+            ]
+        );
+        assert_eq!(sweep(&[]).count(), 0);
+        // An instruction cut off at the end of the slice is an error too.
+        assert!(matches!(
+            sweep(&[0xE9, 0, 0]).collect::<Vec<_>>()[..],
+            [Err(DecodeError { pos: 0, .. })]
+        ));
     }
 }

@@ -10,6 +10,16 @@
 //! observation trace, trap/check counters, heap digest — must match the
 //! costed machine simulator instruction for instruction; the difftest
 //! harness holds it to that.
+//!
+//! Each run decodes the text once: a linear [`sweep`] of every function
+//! fills a byte-offset → instruction table, and the dispatch loop reads
+//! the table instead of re-decoding every retired instruction. The table
+//! is only a cache of [`decode_one`] over the whole text: a sweep stops
+//! at its function's first undecodable byte, and at any offset the table
+//! does not cover (a jump into the middle of an instruction, an
+//! instruction cut off at a function's end, padding) the run decodes in
+//! place exactly as without the table. The pc stays a byte offset, so
+//! sites, handlers, frames and snapshots keep their byte-offset keys.
 
 use njc_arch::Platform;
 use njc_codegen::{MValue, MachineFault, MachineOutcome, MachineStats};
@@ -17,7 +27,7 @@ use njc_ir::{CheckId, ExceptionKind, Type};
 use njc_trap::{GuardedMemory, MemoryError};
 
 use crate::abi;
-use crate::decode::{decode_one, Dec, Imm32Reg, Scratch};
+use crate::decode::{decode_one, sweep, Dec, Imm32Reg, Scratch};
 use crate::encode::{BinSite, EmittedFunction, EmittedModule};
 
 /// Call depth limit, matching the simulator's.
@@ -66,6 +76,49 @@ pub struct ByteMachine<'m> {
     fuel: u64,
 }
 
+/// One run's decode of the text, keyed by absolute byte offset.
+struct Decoded {
+    /// Byte offset → index into `ops`, [`Decoded::NONE`] where no swept
+    /// instruction starts.
+    index: Vec<u32>,
+    /// Decoded instructions with their byte lengths.
+    ops: Vec<(Dec, usize)>,
+}
+
+impl Decoded {
+    const NONE: u32 = u32::MAX;
+
+    /// Sweeps every function's bytes once. Never panics: a sweep stops at
+    /// its first undecodable byte, and a function whose range lies
+    /// outside the text is left to in-place decoding.
+    fn new(em: &EmittedModule) -> Self {
+        let mut index = vec![Self::NONE; em.text.len()];
+        let mut ops = Vec::new();
+        for f in &em.functions {
+            let off = f.text_off as usize;
+            let Some(code) = em.text.get(off..off + f.text_len as usize) else {
+                continue;
+            };
+            // A decode that succeeds inside the function's slice reads
+            // only that instruction's bytes, so it equals the whole-text
+            // decode at the same offset.
+            for (at, dec, len) in sweep(code).map_while(Result::ok) {
+                index[off + at] = ops.len() as u32;
+                ops.push((dec, len));
+            }
+        }
+        Decoded { index, ops }
+    }
+
+    /// `decode_one(text, pc)`, from the table where it covers `pc`.
+    fn at(&self, text: &[u8], pc: usize) -> (Dec, usize) {
+        match self.index.get(pc) {
+            Some(&i) if i != Self::NONE => self.ops[i as usize],
+            _ => decode_one(text, pc).unwrap_or_else(|e| panic!("emitted bytes must decode: {e}")),
+        }
+    }
+}
+
 struct Frame {
     ret_addr: usize,
     caller: usize,
@@ -74,6 +127,7 @@ struct Frame {
 
 struct Exec<'m> {
     em: &'m EmittedModule,
+    decoded: Decoded,
     mem: GuardedMemory,
     stats: MachineStats,
     trace: Vec<MValue>,
@@ -183,6 +237,7 @@ impl<'m> ByteMachine<'m> {
         let f = &self.em.functions[fidx];
         let mut exec = Exec {
             em: self.em,
+            decoded: Decoded::new(self.em),
             mem: GuardedMemory::new(self.platform.trap),
             stats: MachineStats::default(),
             trace: Vec::new(),
@@ -202,7 +257,6 @@ impl<'m> ByteMachine<'m> {
             fidx,
             deopt,
             snapshot: None,
-
             cmp: (0, 0),
         };
         let ret_ty = f.ret;
@@ -339,8 +393,7 @@ impl Exec<'_> {
             if self.stats.insts > self.fuel {
                 return Err(MachineFault::OutOfFuel);
             }
-            let (dec, len) = decode_one(&self.em.text, self.pc)
-                .unwrap_or_else(|e| panic!("emitted bytes must decode: {e}"));
+            let (dec, len) = self.decoded.at(&self.em.text, self.pc);
             let next = self.pc + len;
             // Shorthand: raise an exception at the *current* pc, returning
             // whether it escaped.
@@ -708,6 +761,82 @@ mod tests {
             .run("main")
             .unwrap();
         assert_eq!(done, TrapOutcome::Completed(reference));
+    }
+
+    /// A one-function module whose `main` is the last function in the
+    /// text, so bytes can be appended to it without moving anything.
+    fn single_main() -> EmittedModule {
+        let mut m = Module::new("tail");
+        m.add_class("C", &[("x", Type::Int)]);
+        m.add_function(
+            parse_function(
+                "func main() -> int {\n  locals v0: ref v1: int\nbb0:\n  v0 = new class0\n  v1 = const 7\n  putfield v0, field0, v1 [site]\n  v1 = getfield v0, field0 [site]\n  return v1\n}",
+            )
+            .unwrap(),
+        );
+        let em = emit_module(&lower_module(&m), 1);
+        let f = &em.functions[0];
+        assert_eq!((f.text_off + f.text_len) as usize, em.text.len());
+        assert_eq!(em.text.last(), Some(&0xC3), "main ends in its ret");
+        em
+    }
+
+    #[test]
+    fn predecode_is_a_cache_of_decode_one() {
+        let em = single_main();
+        let table = Decoded::new(&em);
+        let covered: Vec<usize> = (0..em.text.len())
+            .filter(|&pc| table.index[pc] != Decoded::NONE)
+            .collect();
+        assert_eq!(covered.len(), table.ops.len());
+        for pc in covered {
+            assert_eq!(
+                Ok(table.at(&em.text, pc)),
+                decode_one(&em.text, pc),
+                "pc {pc}"
+            );
+        }
+    }
+
+    #[test]
+    fn undecodable_byte_after_final_ret_never_executes() {
+        let em = single_main();
+        let platform = Platform::windows_ia32();
+        let clean = ByteMachine::new(&em, platform).run("main").unwrap();
+        let mut tail = em.clone();
+        tail.text.push(0x90); // `nop`: outside the emitted subset
+        tail.functions[0].text_len += 1;
+        let report = crate::verify::verify_module(&tail, &platform, 1);
+        assert!(report
+            .findings
+            .iter()
+            .any(|f| f.kind == crate::verify::FindingKind::Undecodable));
+        // The pre-decode stops at the byte instead of panicking, and the
+        // run never reaches it.
+        assert_eq!(
+            ByteMachine::new(&tail, platform).run("main").unwrap(),
+            clean
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "execution ran into inter-function padding")]
+    fn falling_off_a_function_into_padding_panics() {
+        let mut em = single_main();
+        // Turn the final ret into padding outside the function: the table
+        // does not cover it, so the run decodes it in place.
+        *em.text.last_mut().unwrap() = 0xCC;
+        em.functions[0].text_len -= 1;
+        let _ = ByteMachine::new(&em, Platform::windows_ia32()).run("main");
+    }
+
+    #[test]
+    #[should_panic(expected = "execution ran into inter-function padding")]
+    fn padding_inside_a_function_panics() {
+        let mut em = single_main();
+        // The same byte inside the function: the table holds the pad.
+        *em.text.last_mut().unwrap() = 0xCC;
+        let _ = ByteMachine::new(&em, Platform::windows_ia32()).run("main");
     }
 
     #[test]

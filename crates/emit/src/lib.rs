@@ -17,7 +17,8 @@
 //!   sections (`.njc.exctab`, `.njc.handlers`) — the artifact a real
 //!   runtime would map and consult from its `SIGSEGV` handler.
 //! * [`decode`] is a decoder for exactly the subset the encoder emits,
-//!   shared by the verifier and the byte-level interpreter.
+//!   shared by the verifier and the byte-level interpreter, with one
+//!   linear [`decode::sweep`] over a function's bytes.
 //! * [`verify`] is the parallel binary verifier: it re-derives the
 //!   instruction stream from the bytes and proves, per function, that
 //!   (a) every exception-site entry points at a memory access that can
@@ -35,7 +36,7 @@ pub mod encode;
 pub mod interp;
 pub mod verify;
 
-pub use decode::{decode_one, Dec, DecodeError};
+pub use decode::{decode_one, sweep, Dec, DecodeError};
 pub use elf::{parse_elf, write_elf};
 pub use encode::{emit_module, BinHandler, BinSite, EmittedClass, EmittedFunction, EmittedModule};
 pub use interp::{ByteMachine, TrapOutcome, TrapSnapshot};

@@ -12,7 +12,9 @@
 //!   implicit site — the trap would not fire), and the platform can trap
 //!   that access kind at all. Read sites on silent-read models (AIX) are
 //!   tallied separately: they are the §5.4 "Illegal Implicit" hazard, a
-//!   policy question the caller judges, not a malformation.
+//!   policy question the caller judges, not a malformation. The table
+//!   itself must be strictly ascending by byte offset: the runtime finds
+//!   a faulting pc's entry by binary search.
 //! * **Claim (b)** — no eliminated check left a residual explicit test
 //!   behind: the instruction window before each site access must not
 //!   contain the `test rax, rax; jnz; raise-NPE` expansion guarding the
@@ -32,7 +34,7 @@ use njc_arch::Platform;
 use njc_ir::{AccessKind, CheckId};
 
 use crate::abi;
-use crate::decode::{decode_one, Dec, Imm32Reg, Scratch};
+use crate::decode::{sweep, Dec, Imm32Reg, Scratch};
 use crate::encode::{EmittedFunction, EmittedModule};
 
 /// What a finding is about.
@@ -68,6 +70,9 @@ pub enum FindingKind {
     },
     /// Two sites claim the same (non-`NONE`) check id.
     DuplicateCheck,
+    /// The site table is not strictly ascending by byte offset, so the
+    /// run-time binary search can miss a registered site.
+    SitesOutOfOrder,
     /// A handler range is structurally broken.
     HandlerMalformed,
     /// Two handler ranges partially overlap (neither nested nor disjoint).
@@ -144,21 +149,34 @@ fn verify_function(f: &EmittedFunction, text: &[u8], platform: &Platform) -> FnR
             detail,
         };
 
+    // The run-time lookup binary-searches the site table by byte offset.
+    for pair in f.sites.windows(2) {
+        if pair[0].byte_off >= pair[1].byte_off {
+            findings.push(finding(
+                pair[1].byte_off,
+                pair[1].check,
+                FindingKind::SitesOutOfOrder,
+                format!(
+                    "site table is not strictly ascending: byte {:#x} follows byte {:#x}",
+                    pair[1].byte_off, pair[0].byte_off
+                ),
+            ));
+        }
+    }
+
     // Full decode: every byte of the function must be in the subset.
     let code = &text[f.text_off as usize..(f.text_off + f.text_len) as usize];
     let mut decoded: Vec<(u32, Dec)> = Vec::new();
     let mut boundaries: BTreeMap<u32, usize> = BTreeMap::new();
-    let mut pos = 0usize;
-    while pos < code.len() {
-        match decode_one(code, pos) {
-            Ok((dec, len)) => {
+    for step in sweep(code) {
+        match step {
+            Ok((pos, dec, _)) => {
                 boundaries.insert(pos as u32, decoded.len());
                 decoded.push((pos as u32, dec));
-                pos += len;
             }
             Err(e) => {
                 findings.push(finding(
-                    pos as u32,
+                    e.pos as u32,
                     CheckId::NONE,
                     FindingKind::Undecodable,
                     format!("undecodable byte {:#04x}", e.byte),
@@ -591,6 +609,58 @@ mod tests {
                     area: 4096
                 }
         )));
+    }
+
+    #[test]
+    fn out_of_order_site_table_is_rejected() {
+        use crate::elf::{parse_elf, write_elf};
+        use crate::interp::ByteMachine;
+        use njc_codegen::MachineFault;
+        use njc_ir::ExceptionKind;
+
+        // Three sites, the last one on a null base.
+        let mut m = Module::new("order");
+        m.add_class("C", &[("x", Type::Int)]);
+        m.add_function(
+            parse_function(
+                "func main() -> int {\n  locals v0: ref v1: ref v2: int v3: int v4: int\nbb0:\n  v0 = new class0\n  v1 = const null\n  v2 = getfield v0, field0 [site]\n  v3 = getfield v0, field0 [site]\n  v4 = getfield v1, field0 [site]\n  return v4\n}",
+            )
+            .unwrap(),
+        );
+        let platform = Platform::windows_ia32();
+        let em = parse_elf(&write_elf(&emit_module(&lower_module(&m), 1))).unwrap();
+        let offs: Vec<u32> = em.functions[0].sites.iter().map(|s| s.byte_off).collect();
+        assert_eq!(offs.len(), 3);
+        assert!(verify_module(&em, &platform, 1).findings.is_empty());
+        let out = ByteMachine::new(&em, platform).run("main").unwrap();
+        assert_eq!(out.exception, Some(ExceptionKind::NullPointer));
+
+        // Reversed, the binary search misses the trapping site: the run
+        // reports a registered site as an unregistered fault. The
+        // verifier must refuse the table before anything runs it.
+        let mut bad = em.clone();
+        bad.functions[0].sites.reverse();
+        let bad = parse_elf(&write_elf(&bad)).unwrap();
+        let findings = verify_module(&bad, &platform, 1).findings;
+        assert!(
+            findings
+                .iter()
+                .any(|f| f.kind == FindingKind::SitesOutOfOrder && f.byte_off == offs[1]),
+            "{findings:?}"
+        );
+        assert!(matches!(
+            ByteMachine::new(&bad, platform).run("main"),
+            Err(MachineFault::UnexpectedTrap { pc, nearest_site: Some((near, _)), .. })
+                if pc == offs[2] as usize && near == pc
+        ));
+
+        // Two sites at the same offset are out of order too.
+        let mut dup = em;
+        dup.functions[0].sites[1].byte_off = offs[0];
+        assert!(verify_module(&dup, &platform, 1)
+            .findings
+            .iter()
+            .any(|f| f.kind == FindingKind::SitesOutOfOrder));
     }
 
     #[test]

@@ -10,7 +10,7 @@ use njc_codegen::{
     AluOp, ExceptionSiteTable, FaluOp, HandlerTable, MInst, MachineClass, MachineFunction,
     MachineModule, Reg,
 };
-use njc_emit::{decode_one, emit_module, Dec};
+use njc_emit::{decode_one, emit_module, sweep, Dec};
 use njc_ir::{ClassId, Cond, ExceptionKind, FunctionId, Intrinsic, Type};
 
 /// Little byte-string builder so expectations stay literal but readable.
@@ -890,34 +890,39 @@ fn load_fixture(path: &std::path::Path) -> njc_ir::Module {
 /// produced, padding included.
 fn assert_round_trips(em: &njc_emit::EmittedModule, what: &str) {
     let mut rebuilt = Vec::with_capacity(em.text.len());
-    let mut pos = 0usize;
     let mut insts = 0usize;
-    while pos < em.text.len() {
-        let (dec, len) = decode_one(&em.text, pos)
-            .unwrap_or_else(|e| panic!("{what}: undecodable at {pos}: {e:?}"));
+    for step in sweep(&em.text) {
+        let (pos, dec, len) = step.unwrap_or_else(|e| panic!("{what}: undecodable: {e:?}"));
         dec.encode(&mut rebuilt);
         assert_eq!(
             rebuilt.len(),
             pos + len,
             "{what}: {dec:?} re-encoded to a different length"
         );
-        pos += len;
         insts += 1;
     }
     assert_eq!(rebuilt, em.text, "{what}: re-encoded bytes differ");
     assert!(insts > 0);
-    // Pad bytes only ever appear between functions, never inside one.
     for f in &em.functions {
-        let code = &em.text[f.text_off as usize..(f.text_off + f.text_len) as usize];
-        let mut p = 0usize;
-        while p < code.len() {
-            let (dec, len) = decode_one(code, p).unwrap();
+        let off = f.text_off as usize;
+        let code = &em.text[off..off + f.text_len as usize];
+        for step in sweep(code) {
+            let (pos, dec, len) = step.unwrap_or_else(|e| panic!("{what}: {}: {e:?}", f.name));
+            // Pad bytes only ever appear between functions, never inside one.
             assert!(
                 !matches!(dec, Dec::Pad),
                 "{what}: pad byte inside {}",
                 f.name
             );
-            p += len;
+            // Decoding within the function's slice equals decoding the
+            // whole text at the same offset: the interpreter's per-run
+            // pre-decode is a cache of `decode_one(&em.text, pc)`.
+            assert_eq!(
+                decode_one(&em.text, off + pos),
+                Ok((dec, len)),
+                "{what}: {} at byte {pos}",
+                f.name
+            );
         }
     }
 }
