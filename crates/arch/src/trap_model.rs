@@ -51,16 +51,6 @@ impl TrapModel {
         }
     }
 
-    /// Solaris on SPARC (the LaTTe assumption from §2.1): all memory reads
-    /// and writes cause hardware traps; 8 KiB pages.
-    pub const fn solaris_sparc() -> Self {
-        TrapModel {
-            trap_area_bytes: 8192,
-            traps_on_read: true,
-            traps_on_write: true,
-        }
-    }
-
     /// A model with no trap support at all — the paper's
     /// "No Null Opt. (No Hardware Trap)" baseline, where every null check
     /// must be an explicit instruction.
@@ -79,14 +69,7 @@ impl TrapModel {
     /// element accesses); the compiler may not rely on those trapping
     /// because the effective address can exceed the trap area.
     pub fn access_traps(&self, kind: AccessKind, offset: Option<u64>) -> bool {
-        let Some(off) = offset else { return false };
-        if off >= self.trap_area_bytes {
-            return false;
-        }
-        match kind {
-            AccessKind::Read => self.traps_on_read,
-            AccessKind::Write => self.traps_on_write,
-        }
+        offset.is_some_and(|off| self.runtime_faults(kind, off))
     }
 
     /// Whether an access at a *runtime* effective offset would actually

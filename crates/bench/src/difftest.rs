@@ -119,7 +119,7 @@ pub enum NormValue {
     NonNull,
 }
 
-fn norm(v: Value) -> NormValue {
+pub(crate) fn norm(v: Value) -> NormValue {
     match v {
         Value::Int(i) => NormValue::Int(i),
         Value::Float(f) => NormValue::Float(f.to_bits()),
@@ -712,6 +712,17 @@ fn byte_mismatch(
     }
 }
 
+/// The one-off workload every difftest compile wraps its program in.
+fn difftest_workload(module: &Module) -> Workload {
+    Workload {
+        name: "difftest",
+        suite: Suite::Micro,
+        module: module.clone(),
+        entry: "main",
+        work_units: 1,
+    }
+}
+
 fn diff_program(
     module: &Module,
     vm_only: bool,
@@ -731,33 +742,25 @@ fn diff_program(
     } else {
         Vec::new()
     };
+    let w = difftest_workload(module);
     // verdicts[p][0] = baseline; verdicts[p][1 + k] = kinds[k]; then one
     // column per interproc-enabled configuration, then one per
     // gvn-enabled configuration.
     let mut verdicts: Vec<Vec<Verdict>> = Vec::new();
+    // compiled[p][k]: `kinds[k]` on `plats[p]`, compiled once and shared
+    // by the verdict row, the byte column and the recovery columns.
+    let mut compiled: Vec<Vec<Module>> = Vec::new();
     for platform in &plats {
         let mut row = Vec::new();
+        let mut modules = Vec::new();
         row.push(run_cell(module, platform, cfg, None));
         if !vm_only {
             for kind in kinds {
-                let w = Workload {
-                    name: "difftest",
-                    suite: Suite::Micro,
-                    module: module.clone(),
-                    entry: "main",
-                    work_units: 1,
-                };
-                let compiled = njc_jit::compile(&w, platform, *kind);
-                row.push(run_cell(&compiled.module, platform, cfg, None));
+                let optimized = njc_jit::compile(&w, platform, *kind).module;
+                row.push(run_cell(&optimized, platform, cfg, None));
+                modules.push(optimized);
             }
             for kind in &ikinds {
-                let w = Workload {
-                    name: "difftest",
-                    suite: Suite::Micro,
-                    module: module.clone(),
-                    entry: "main",
-                    work_units: 1,
-                };
                 let config = OptConfig {
                     interproc: true,
                     ..kind.to_config(platform)
@@ -766,13 +769,6 @@ fn diff_program(
                 row.push(run_cell(&compiled.module, platform, cfg, None));
             }
             for kind in &gkinds {
-                let w = Workload {
-                    name: "difftest",
-                    suite: Suite::Micro,
-                    module: module.clone(),
-                    entry: "main",
-                    work_units: 1,
-                };
                 let config = OptConfig {
                     gvn: true,
                     ..kind.to_config(platform)
@@ -782,6 +778,7 @@ fn diff_program(
             }
         }
         verdicts.push(row);
+        compiled.push(modules);
     }
     let config_label = |c: usize| -> String {
         if c == 0 {
@@ -863,17 +860,9 @@ fn diff_program(
     // bugs (wrong displacement, dropped site entry, mis-dispatched trap)
     // that the IR-level axes above cannot see.
     if !vm_only {
-        for platform in &plats {
-            for kind in kinds {
-                let w = Workload {
-                    name: "difftest",
-                    suite: Suite::Micro,
-                    module: module.clone(),
-                    entry: "main",
-                    work_units: 1,
-                };
-                let compiled = njc_jit::compile(&w, platform, *kind);
-                let mm = lower_module(&compiled.module);
+        for (platform, modules) in plats.iter().zip(&compiled) {
+            for (kind, optimized) in kinds.iter().zip(modules) {
+                let mm = lower_module(optimized);
                 let em = emit_module(&mm, 1);
                 let ran = std::panic::catch_unwind(AssertUnwindSafe(|| {
                     let sim = Machine::new(&mm, *platform).run("main");
@@ -923,21 +912,13 @@ fn diff_program(
                 if matches!(base, Verdict::Panicked) {
                     continue; // already reported above
                 }
-                let w = Workload {
-                    name: "difftest",
-                    suite: Suite::Micro,
-                    module: module.clone(),
-                    entry: "main",
-                    work_units: 1,
-                };
-                let compiled = njc_jit::compile(&w, platform, *kind);
                 for strategy in [
                     RecoveryStrategy::Strict,
                     RecoveryStrategy::NullObject,
                     RecoveryStrategy::SkipEffect,
                 ] {
                     let policy = RecoveryPolicy::uniform(strategy);
-                    let v = run_cell(&compiled.module, platform, cfg, Some(&policy));
+                    let v = run_cell(&compiled[p][k], platform, cfg, Some(&policy));
                     out.cells += 1;
                     out.recovery_cells += 1;
                     let label = format!("{kind:?}+recover:{strategy}");
@@ -983,13 +964,6 @@ fn diff_program(
     // reproduction of the paper's §5.4 claim, not a failure.
     if !vm_only {
         let aix = Platform::aix_ppc();
-        let w = Workload {
-            name: "difftest",
-            suite: Suite::Micro,
-            module: module.clone(),
-            entry: "main",
-            work_units: 1,
-        };
         let compiled = njc_jit::compile(&w, &aix, ConfigKind::AixIllegalImplicit);
         let v = run_cell(&compiled.module, &aix, cfg, None);
         out.cells += 1;
@@ -1225,14 +1199,7 @@ fn recovery_observation_survives(
 ) -> bool {
     let platform = platforms()[obs.platform];
     let cfg = vm_config(opts);
-    let w = Workload {
-        name: "difftest",
-        suite: Suite::Micro,
-        module: module.clone(),
-        entry: "main",
-        work_units: 1,
-    };
-    let compiled = njc_jit::compile(&w, &platform, obs.kind);
+    let compiled = njc_jit::compile(&difftest_workload(module), &platform, obs.kind);
     let base = run_cell(&compiled.module, &platform, cfg, None);
     if matches!(base, Verdict::Panicked) {
         return false;

@@ -44,6 +44,8 @@ use njc_opt::{ConfigKind, OptConfig};
 use njc_recover::{find_resume_point, frame_locals, rules, PatternRule, RecoveryPolicy};
 use njc_vm::{Outcome, Value, Vm};
 
+use crate::difftest::{norm, NormValue};
+
 /// Seeds whose fixture instances are committed under `tests/fixtures/`
 /// and drift-checked by the smoke gate.
 pub const COMMITTED_SEEDS: [u64; 3] = [0, 1, 2];
@@ -84,25 +86,6 @@ pub fn load_pattern_module(name: &str, source: &str) -> Module {
     module
 }
 
-/// A value collapsed to its allocation-order-stable shape, mirroring the
-/// difftest normalization: refs compare null/non-null, floats by bits.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-enum Nv {
-    Int(i64),
-    Float(u64),
-    Null,
-    NonNull,
-}
-
-fn norm(v: Value) -> Nv {
-    match v {
-        Value::Int(i) => Nv::Int(i),
-        Value::Float(f) => Nv::Float(f.to_bits()),
-        Value::Ref(0) => Nv::Null,
-        Value::Ref(_) => Nv::NonNull,
-    }
-}
-
 /// Compares two outcomes over the recovery-observable surface — result,
 /// exception, trace, exception events, heap digest — and reports the
 /// first differing component. Stats are excluded by design.
@@ -114,7 +97,7 @@ pub fn observable_mismatch(a: &Outcome, b: &Outcome) -> Option<String> {
     if a.exception != b.exception {
         return Some(format!("exception {:?} vs {:?}", a.exception, b.exception));
     }
-    let (ta, tb): (Vec<Nv>, Vec<Nv>) = (
+    let (ta, tb): (Vec<NormValue>, Vec<NormValue>) = (
         a.trace.iter().copied().map(norm).collect(),
         b.trace.iter().copied().map(norm).collect(),
     );

@@ -25,12 +25,15 @@
 //!   different value). `exc_mask` semantics fall out per class: a copy
 //!   doesn't throw, so copy-propagated facts survive to the handler; only
 //!   gens at or after the block's first throw point are masked off.
-//! * [`eliminate_redundant_gvn`] replays blocks against *both* the legacy
-//!   per-variable solution and the VN solution, so GVN-on removes a strict
-//!   superset of checks, every legacy-provable kill keeps its legacy
-//!   provenance, and each GVN-only kill is attributed
-//!   [`Redundancy::Gvn`] `{ representative, class_size }` for the
-//!   conservation ledger.
+//!
+//! Neither is a pass of its own. Phase 1 and the Whaley baseline solve
+//! [`GvnNonNullProblem`] next to their per-variable problem when
+//! `OptConfig::gvn` is on, and hand the numbering and its solution to
+//! their one elimination replay ([`nonnull::eliminate_redundant`]) as an
+//! optional finer index: GVN-on removes a strict superset of checks,
+//! every legacy-provable kill keeps its legacy provenance, and each
+//! GVN-only kill is attributed `Redundancy::Gvn { representative,
+//! class_size }` for the conservation ledger.
 //!
 //! The numbering is also the precision backbone of the static coverage
 //! validator (`njc-analysis`): a sound validator may use any sound
@@ -40,9 +43,8 @@
 
 use std::collections::{HashMap, HashSet};
 
-use njc_dataflow::{BitSet, Direction, Meet, Problem};
-use njc_ir::{BlockId, Function, Inst, Terminator, VarId};
-use njc_observe::{CheckEvent, Recorder, Redundancy};
+use njc_dataflow::{solve_cached, BitSet, Direction, Meet, Problem, Solution};
+use njc_ir::{BlockId, CfgCache, Function, Inst, Terminator};
 
 use crate::ctx::AnalysisCtx;
 use crate::nonnull::{self, is_exceptional_edge};
@@ -543,186 +545,36 @@ impl Problem for GvnNonNullProblem<'_> {
     }
 }
 
-/// What [`eliminate_redundant_gvn`] did: total checks removed, and how many
-/// of those only the value-numbered analysis could justify.
-#[derive(Default, Clone, Copy, Debug)]
-pub struct GvnElimination {
-    /// Checks removed (legacy-provable plus GVN-only).
-    pub eliminated: usize,
-    /// The strict surplus over the legacy per-variable analysis: kills
-    /// attributed [`Redundancy::Gvn`].
-    pub gvn_only: usize,
-}
-
-/// Removes every check redundant under *either* solution — the legacy
-/// per-variable `ins` or the VN-indexed `gvn_ins` — so the GVN column
-/// eliminates a strict superset of the baseline. Runs both replays in
-/// lockstep: a legacy-provable kill keeps its legacy provenance (entry
-/// fact, prior check, allocation, interprocedural fact), a GVN-only kill
-/// is attributed to its congruence class.
-#[allow(clippy::too_many_arguments)]
-pub fn eliminate_redundant_gvn(
+/// Builds `func`'s numbering and solves [`GvnNonNullProblem`] over it: the
+/// optional input phase 1 and the Whaley baseline hand their elimination
+/// replay under `OptConfig::gvn`. `ctx` supplies the interprocedural
+/// seeds (entry facts, assumed gens); `earliest` the phase 1 insertion
+/// points.
+pub(crate) fn solve_classes(
     ctx: Option<&AnalysisCtx<'_>>,
-    func: &mut Function,
-    vn: &ValueNumbering,
-    gvn_ins: &[BitSet],
-    legacy_ins: &[BitSet],
-    legacy_base_ins: Option<&[BitSet]>,
-    rec: &mut Recorder,
-    phase1: bool,
-) -> GvnElimination {
-    let nv = func.num_vars();
-    let mut result = GvnElimination::default();
-    let mut lwhy: Vec<Redundancy> = if rec.is_enabled() {
-        vec![Redundancy::NonNullAtEntry; nv]
-    } else {
-        Vec::new()
+    func: &Function,
+    cfg: &CfgCache,
+    earliest: Option<&[BitSet]>,
+) -> (ValueNumbering, Solution) {
+    let vn = ValueNumbering::compute(func, &default_throw_point);
+    let problem = GvnNonNullProblem {
+        func,
+        vn: &vn,
+        sets: compute_gvn_sets(ctx, func, &vn),
+        earliest,
+        entry: ctx.and_then(|c| c.entry_facts(func, func.num_vars())),
     };
-    let sources: Vec<Option<Redundancy>> = match (ctx, rec.is_enabled()) {
-        (Some(c), true) if c.assumptions().is_some() => nonnull::interproc_sources(c, func, nv),
-        _ => Vec::new(),
-    };
-    for bi in 0..func.num_blocks() {
-        let block_id = BlockId::new(bi);
-        let mut state = vn.entry_vn[bi].clone();
-        let mut vset = gvn_ins[bi].clone();
-        let mut lset = legacy_ins[bi].clone();
-        if rec.is_enabled() {
-            lwhy.iter_mut()
-                .for_each(|w| *w = Redundancy::NonNullAtEntry);
-            if let Some(base) = legacy_base_ins {
-                if !sources.is_empty() {
-                    for v in legacy_ins[bi].iter() {
-                        if !base[bi].contains(v) {
-                            if let Some(s) = sources[v] {
-                                lwhy[v] = s;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        // insts_mut: instruction-only rewrite, CFG caches stay valid.
-        let insts = func.insts_mut(block_id);
-        let mut kept = Vec::with_capacity(insts.len());
-        let mut events = Vec::new();
-        for (idx, inst) in insts.drain(..).enumerate() {
-            match &inst {
-                Inst::NullCheck { var, id, .. } => {
-                    let x = state[var.index()] as usize;
-                    let legacy_hit = lset.contains(var.index());
-                    if legacy_hit || vset.contains(x) {
-                        result.eliminated += 1;
-                        if !legacy_hit {
-                            result.gvn_only += 1;
-                        }
-                        if rec.is_enabled() {
-                            let why = if legacy_hit {
-                                lwhy[var.index()]
-                            } else {
-                                // The class justified it: name the lowest
-                                // *other* member currently bound to the VN
-                                // (the variable whose check/def this one
-                                // rides on), and the live class size.
-                                let mut rep = *var;
-                                let mut size = 0u32;
-                                for (w, &wvn) in state.iter().enumerate() {
-                                    if wvn as usize == x {
-                                        size += 1;
-                                        if w != var.index() && rep == *var {
-                                            rep = VarId::new(w);
-                                        }
-                                    }
-                                }
-                                Redundancy::Gvn {
-                                    representative: rep,
-                                    class_size: size,
-                                }
-                            };
-                            events.push(if phase1 {
-                                CheckEvent::Phase1Eliminated {
-                                    id: *id,
-                                    var: *var,
-                                    block: block_id,
-                                    why,
-                                }
-                            } else {
-                                CheckEvent::WhaleyEliminated {
-                                    id: *id,
-                                    var: *var,
-                                    block: block_id,
-                                    why,
-                                }
-                            });
-                        }
-                        continue;
-                    }
-                    vset.insert(x);
-                    lset.insert(var.index());
-                    if rec.is_enabled() {
-                        lwhy[var.index()] = Redundancy::PriorCheck(*id);
-                    }
-                    kept.push(inst);
-                }
-                Inst::New { dst, .. } | Inst::NewArray { dst, .. } => {
-                    vn.step(bi, idx, &inst, &mut state);
-                    vset.insert(state[dst.index()] as usize);
-                    lset.insert(dst.index());
-                    if rec.is_enabled() {
-                        lwhy[dst.index()] = Redundancy::Allocation;
-                    }
-                    kept.push(inst);
-                }
-                Inst::Move { dst, src } => {
-                    // Legacy replay: the copy inherits the source's status
-                    // and provenance. The VN replay needs nothing — both
-                    // sides share a number.
-                    if lset.contains(src.index()) {
-                        lset.insert(dst.index());
-                        if rec.is_enabled() {
-                            lwhy[dst.index()] = lwhy[src.index()];
-                        }
-                    } else {
-                        lset.remove(dst.index());
-                    }
-                    vn.step(bi, idx, &inst, &mut state);
-                    kept.push(inst);
-                }
-                _ => {
-                    if let Some(d) = ctx.and_then(|c| c.assumed_nonnull_def(&inst)) {
-                        lset.insert(d.index());
-                        if rec.is_enabled() {
-                            lwhy[d.index()] = nonnull::assumed_source(
-                                ctx.expect("assumed gen has a context"),
-                                &inst,
-                            );
-                        }
-                        vn.step(bi, idx, &inst, &mut state);
-                        vset.insert(state[d.index()] as usize);
-                    } else {
-                        if let Some(d) = inst.def() {
-                            lset.remove(d.index());
-                        }
-                        vn.step(bi, idx, &inst, &mut state);
-                    }
-                    kept.push(inst);
-                }
-            }
-        }
-        *func.insts_mut(block_id) = kept;
-        for ev in events {
-            rec.record(ev);
-        }
-    }
-    result
+    let sol = solve_cached(func, cfg, &problem);
+    (vn, sol)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::nonnull::{compute_sets, NonNullProblem};
+    use crate::nonnull::{compute_sets, eliminate_redundant, Elimination, NonNullProblem};
     use njc_dataflow::solve;
-    use njc_ir::parse_function;
+    use njc_ir::{parse_function, VarId};
+    use njc_observe::{CheckEvent, Recorder, Redundancy};
 
     fn solve_both(f: &Function) -> (Vec<BitSet>, ValueNumbering, Vec<BitSet>) {
         let legacy = NonNullProblem {
@@ -746,16 +598,15 @@ mod tests {
         (lsol.ins, vn, gsol.ins)
     }
 
-    fn run_gvn(src: &str) -> (Function, GvnElimination) {
+    fn run_gvn(src: &str) -> (Function, Elimination) {
         let mut f = parse_function(src).unwrap();
         let (lins, vn, gins) = solve_both(&f);
-        let r = eliminate_redundant_gvn(
+        let r = eliminate_redundant(
             None,
             &mut f,
-            &vn,
-            &gins,
             &lins,
             None,
+            Some((&vn, &gins)),
             &mut Recorder::disabled(),
             false,
         );
@@ -928,7 +779,15 @@ mod tests {
         let (lins, vn, gins) = solve_both(&f);
         let mut rec = Recorder::new(true);
         rec.assign_origins(&mut f);
-        let r = eliminate_redundant_gvn(None, &mut f, &vn, &gins, &lins, None, &mut rec, false);
+        let r = eliminate_redundant(
+            None,
+            &mut f,
+            &lins,
+            None,
+            Some((&vn, &gins)),
+            &mut rec,
+            false,
+        );
         assert_eq!(r.gvn_only, 1);
         let gvn_kill = rec.events.iter().find_map(|e| match e {
             CheckEvent::WhaleyEliminated {

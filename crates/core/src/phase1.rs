@@ -35,19 +35,23 @@
 //! **every** potentially-throwing point of `m` (no kill anywhere in the
 //! block, and if generated, generated before the first throwing
 //! instruction).
+//!
+//! ## Value numbers as an optional input
+//!
+//! Under `OptConfig::gvn` the same pass also solves the forward problem
+//! over value numbers ([`crate::gvn`]). It is a finer index for §4.1.2,
+//! not a second pass: one elimination replay
+//! ([`crate::nonnull::eliminate_redundant`]) consults both solutions, and
+//! the insertion step skips an `Earliest` check whose class is already
+//! non-null at the block exit. With `gvn` off no value numbering is built.
 
 use njc_dataflow::{solve_cached, BitSet, Direction, Meet, Problem};
 use njc_ir::{BlockId, CfgCache, Function, Inst, NullCheckKind, VarId};
 use njc_observe::{CheckEvent, Recorder};
 
 use crate::ctx::AnalysisCtx;
-use crate::gvn::{
-    compute_gvn_sets, default_throw_point, eliminate_redundant_gvn, GvnNonNullProblem,
-    ValueNumbering,
-};
-use crate::nonnull::{
-    compute_sets, compute_sets_assumed, eliminate_redundant_assumed, NonNullProblem,
-};
+use crate::gvn::solve_classes;
+use crate::nonnull::{compute_sets, compute_sets_assumed, eliminate_redundant, NonNullProblem};
 
 /// Statistics from one phase 1 application.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -55,7 +59,7 @@ pub struct Phase1Stats {
     /// Null checks removed because their target was known non-null.
     pub eliminated: usize,
     /// The subset of `eliminated` only the value-numbered analysis could
-    /// justify (zero unless [`run_recorded_gvn`] ran).
+    /// justify (zero unless [`run_recorded`] ran with `gvn`).
     pub gvn_eliminated: usize,
     /// Null checks inserted at earliest points (hoisted copies).
     pub inserted: usize,
@@ -163,29 +167,38 @@ fn compute_earliest(func: &Function, preds: &[Vec<BlockId>], outs: &[BitSet]) ->
 }
 
 /// Runs phase 1 on `func`: moves null checks backward to their earliest
-/// points and eliminates redundant ones. Computes the CFG structures on
-/// the spot; the pipeline uses [`run_cached`].
+/// points and eliminates redundant ones, per variable and untraced. The
+/// pipeline uses [`run_recorded`].
 ///
 /// Returns statistics; the function is rewritten in place.
 pub fn run(ctx: &AnalysisCtx<'_>, func: &mut Function) -> Phase1Stats {
-    run_cached(ctx, func, &mut CfgCache::new())
+    run_recorded(
+        ctx,
+        func,
+        &mut CfgCache::new(),
+        &mut Recorder::disabled(),
+        false,
+    )
 }
 
-/// [`run`], reusing (and revalidating) the caller's [`CfgCache`]. Phase 1
-/// only rewrites instruction lists, so the cache it fills stays valid for
-/// the caller afterwards.
-pub fn run_cached(ctx: &AnalysisCtx<'_>, func: &mut Function, cfg: &mut CfgCache) -> Phase1Stats {
-    run_recorded(ctx, func, cfg, &mut Recorder::disabled())
-}
-
-/// [`run_cached`] with provenance: eliminations record the justifying
-/// `In_fwd` fact, insertions the earliest block they were hoisted to, and
-/// inserted checks draw fresh ids from the recorder.
+/// [`run`], reusing (and revalidating) the caller's [`CfgCache`] — phase 1
+/// only rewrites instruction lists, so the cache stays valid for the
+/// caller afterwards — with provenance: eliminations record the
+/// justifying `In_fwd` fact, insertions the earliest block they were
+/// hoisted to, and inserted checks draw fresh ids from the recorder.
+///
+/// With `gvn` (`OptConfig::gvn`) the forward non-nullness is also solved
+/// per value number: the elimination removes every check either solution
+/// justifies (a strict superset of the baseline, GVN-only kills attributed
+/// `Redundancy::Gvn`), insertion points already covered by the VN
+/// out-facts are suppressed, and the solver counters sum both forward
+/// analyses. Without it no value numbering is computed.
 pub fn run_recorded(
     ctx: &AnalysisCtx<'_>,
     func: &mut Function,
     cfg: &mut CfgCache,
     rec: &mut Recorder,
+    gvn: bool,
 ) -> Phase1Stats {
     let nv = func.num_vars();
     let mut stats = Phase1Stats::default();
@@ -194,7 +207,8 @@ pub fn run_recorded(
     }
     cfg.ensure(func);
 
-    // §4.1.1 — backward motion and insertion points.
+    // §4.1.1 — backward motion and insertion points. Motion is about check
+    // *positions*, which the value numbering does not change.
     let motion = BackwardMotion {
         func,
         sets: compute_motion_sets(ctx, func),
@@ -217,8 +231,14 @@ pub fn run_recorded(
         num_facts: nv,
     };
     let sol_fwd = solve_cached(func, cfg, &nonnull);
-    stats.nonnull_iterations = sol_fwd.iterations;
-    stats.nonnull_pops = sol_fwd.worklist_pops;
+
+    // Under GVN, the value-numbered problem too: interprocedural facts
+    // seeded onto entry VNs and assumed gens onto their classes.
+    let classes = gvn.then(|| solve_classes(Some(ctx), func, cfg, Some(&earliest)));
+    stats.nonnull_iterations =
+        sol_fwd.iterations + classes.as_ref().map_or(0, |(_, s)| s.iterations);
+    stats.nonnull_pops =
+        sol_fwd.worklist_pops + classes.as_ref().map_or(0, |(_, s)| s.worklist_pops);
 
     // When tracing with assumptions, also solve the *plain* problem: an
     // entry fact present only in the assumed solution is attributed to
@@ -238,134 +258,31 @@ pub fn run_recorded(
     };
 
     // Rewrite: remove redundant checks...
-    stats.eliminated = eliminate_redundant_assumed(
+    let r = eliminate_redundant(
         Some(ctx),
         func,
         &sol_fwd.ins,
         base_sol.as_ref().map(|s| s.ins.as_slice()),
-        rec,
-        true,
-    );
-
-    // ... then insert at the earliest points: Earliest(n) -= Out_fwd(n),
-    // remaining checks go at the block exit (§4.1.2 last equation).
-    for (bi, e) in earliest.iter_mut().enumerate().take(func.num_blocks()) {
-        e.subtract(&sol_fwd.outs[bi]);
-        let block = BlockId::new(bi);
-        let mut fresh = Vec::new();
-        for v in e.iter() {
-            let id = rec.fresh();
-            fresh.push(Inst::NullCheck {
-                var: VarId::new(v),
-                kind: NullCheckKind::Explicit,
-                id,
-            });
-            rec.record(CheckEvent::Phase1Inserted {
-                id,
-                var: VarId::new(v),
-                block,
-            });
-            stats.inserted += 1;
-        }
-        func.insts_mut(block).extend(fresh);
-    }
-
-    stats
-}
-
-/// [`run_recorded`] under `OptConfig::gvn`: the forward non-nullness runs
-/// both per-variable and per-value-number, the elimination removes every
-/// check either solution justifies (a strict superset of the baseline),
-/// and insertion points already covered by either solution's out-facts are
-/// suppressed. GVN-only kills are attributed `Redundancy::Gvn`; solver
-/// counters sum both forward analyses.
-pub fn run_recorded_gvn(
-    ctx: &AnalysisCtx<'_>,
-    func: &mut Function,
-    cfg: &mut CfgCache,
-    rec: &mut Recorder,
-) -> Phase1Stats {
-    let nv = func.num_vars();
-    let mut stats = Phase1Stats::default();
-    if nv == 0 {
-        return stats;
-    }
-    cfg.ensure(func);
-
-    // §4.1.1 — backward motion and insertion points (identical to the
-    // per-variable pipeline: motion is about check *positions*, which the
-    // value numbering does not change).
-    let motion = BackwardMotion {
-        func,
-        sets: compute_motion_sets(ctx, func),
-        num_facts: nv,
-    };
-    let sol_bwd = solve_cached(func, cfg, &motion);
-    stats.motion_iterations = sol_bwd.iterations;
-    stats.motion_pops = sol_bwd.worklist_pops;
-    let mut earliest = compute_earliest(func, cfg.preds(), &sol_bwd.outs);
-
-    // §4.1.2 — the per-variable forward analysis (the dual replay needs
-    // it to keep legacy-provable kills on their legacy provenance) ...
-    let nonnull = NonNullProblem {
-        func,
-        sets: compute_sets_assumed(ctx, func),
-        earliest: Some(&earliest),
-        entry: ctx.entry_facts(func, nv),
-        num_facts: nv,
-    };
-    let sol_fwd = solve_cached(func, cfg, &nonnull);
-
-    // ... and the value-numbered one, interprocedural facts seeded onto
-    // entry VNs and assumed gens onto their classes.
-    let vn = ValueNumbering::compute(func, &default_throw_point);
-    let gvn_problem = GvnNonNullProblem {
-        func,
-        vn: &vn,
-        sets: compute_gvn_sets(Some(ctx), func, &vn),
-        earliest: Some(&earliest),
-        entry: ctx.entry_facts(func, nv),
-    };
-    let sol_gvn = solve_cached(func, cfg, &gvn_problem);
-    stats.nonnull_iterations = sol_fwd.iterations + sol_gvn.iterations;
-    stats.nonnull_pops = sol_fwd.worklist_pops + sol_gvn.worklist_pops;
-
-    let base_sol = if rec.is_enabled() && ctx.assumptions().is_some() {
-        let base = NonNullProblem {
-            func,
-            sets: compute_sets(func),
-            earliest: Some(&earliest),
-            entry: None,
-            num_facts: nv,
-        };
-        Some(solve_cached(func, cfg, &base))
-    } else {
-        None
-    };
-
-    let r = eliminate_redundant_gvn(
-        Some(ctx),
-        func,
-        &vn,
-        &sol_gvn.ins,
-        &sol_fwd.ins,
-        base_sol.as_ref().map(|s| s.ins.as_slice()),
+        classes.as_ref().map(|(vn, s)| (vn, s.ins.as_slice())),
         rec,
         true,
     );
     stats.eliminated = r.eliminated;
     stats.gvn_eliminated = r.gvn_only;
 
-    // Insertion, with the VN out-facts as an additional suppressor: if the
-    // class is already non-null at the block's exit, the hoisted check is
-    // as dead as its original.
+    // ... then insert at the earliest points: Earliest(n) -= Out_fwd(n),
+    // remaining checks go at the block exit (§4.1.2 last equation). Under
+    // GVN a class already non-null at the block's exit suppresses the
+    // hoisted check too: it is as dead as its original.
     for (bi, e) in earliest.iter_mut().enumerate().take(func.num_blocks()) {
         e.subtract(&sol_fwd.outs[bi]);
         let block = BlockId::new(bi);
         let mut fresh = Vec::new();
         for v in e.iter() {
-            if sol_gvn.outs[bi].contains(vn.exit_vn[bi][v] as usize) {
-                continue;
+            if let Some((vn, sol)) = &classes {
+                if sol.outs[bi].contains(vn.exit_vn[bi][v] as usize) {
+                    continue;
+                }
             }
             let id = rec.fresh();
             fresh.push(Inst::NullCheck {

@@ -10,16 +10,18 @@
 //!    motion / insertion), and
 //! 2. it does not reposition checks to maximize hardware trap usage (the
 //!    *trivial* trap conversion of [`crate::trivial`] is all it gets).
+//!
+//! It is one forward non-nullness analysis ([`crate::nonnull`]) followed by
+//! one elimination replay. Under `OptConfig::gvn` the same pass also
+//! solves the value-numbered problem of [`crate::gvn`] and feeds it to the
+//! replay as an optional finer index; it is never a second pass.
 
 use njc_dataflow::solve_cached;
 use njc_ir::{CfgCache, Function};
 use njc_observe::Recorder;
 
-use crate::gvn::{
-    compute_gvn_sets, default_throw_point, eliminate_redundant_gvn, GvnNonNullProblem,
-    ValueNumbering,
-};
-use crate::nonnull::{compute_sets, eliminate_redundant_recorded, NonNullProblem};
+use crate::gvn::solve_classes;
+use crate::nonnull::{compute_sets, eliminate_redundant, NonNullProblem};
 
 /// Statistics from one Whaley-baseline application.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
@@ -27,7 +29,7 @@ pub struct WhaleyStats {
     /// Null checks removed.
     pub eliminated: usize,
     /// The subset of `eliminated` only the value-numbered analysis could
-    /// justify (zero unless [`run_recorded_gvn`] ran).
+    /// justify (zero unless [`run_recorded`] ran with `gvn`).
     pub gvn_eliminated: usize,
     /// Solver convergence depth.
     pub iterations: usize,
@@ -35,49 +37,26 @@ pub struct WhaleyStats {
     pub pops: usize,
 }
 
-/// Runs the baseline elimination on `func` in place.
+/// Runs the baseline elimination on `func` in place, per variable and
+/// untraced. The pipeline uses [`run_recorded`].
 pub fn run(func: &mut Function) -> WhaleyStats {
-    run_cached(func, &mut CfgCache::new())
+    run_recorded(func, &mut CfgCache::new(), &mut Recorder::disabled(), false)
 }
 
-/// [`run`], reusing (and revalidating) the caller's [`CfgCache`].
-pub fn run_cached(func: &mut Function, cfg: &mut CfgCache) -> WhaleyStats {
-    run_recorded(func, cfg, &mut Recorder::disabled())
-}
-
-/// [`run_cached`] with provenance: every elimination records the `In_fwd`
-/// fact that justified it.
-pub fn run_recorded(func: &mut Function, cfg: &mut CfgCache, rec: &mut Recorder) -> WhaleyStats {
-    let nv = func.num_vars();
-    if nv == 0 {
-        return WhaleyStats::default();
-    }
-    cfg.ensure(func);
-    let problem = NonNullProblem {
-        func,
-        sets: compute_sets(func),
-        earliest: None,
-        entry: None,
-        num_facts: nv,
-    };
-    let sol = solve_cached(func, cfg, &problem);
-    WhaleyStats {
-        eliminated: eliminate_redundant_recorded(func, &sol.ins, rec, false),
-        gvn_eliminated: 0,
-        iterations: sol.iterations,
-        pops: sol.worklist_pops,
-    }
-}
-
-/// [`run_recorded`] under `OptConfig::gvn`: solves the per-variable
-/// problem *and* the value-numbered one, then removes every check either
-/// justifies — a strict superset of the baseline's kills, with each
-/// GVN-only kill attributed to its congruence class
-/// (`Redundancy::Gvn`). Solver counters sum both analyses.
-pub fn run_recorded_gvn(
+/// [`run`], reusing (and revalidating) the caller's [`CfgCache`], with
+/// provenance: every elimination records the `In_fwd` fact that justified
+/// it.
+///
+/// With `gvn` (`OptConfig::gvn`) the value-numbered problem is solved too
+/// and every check either solution justifies is removed — a strict
+/// superset of the baseline's kills, each GVN-only kill attributed to its
+/// congruence class (`Redundancy::Gvn`). Solver counters then sum both
+/// analyses. Without it no value numbering is computed.
+pub fn run_recorded(
     func: &mut Function,
     cfg: &mut CfgCache,
     rec: &mut Recorder,
+    gvn: bool,
 ) -> WhaleyStats {
     let nv = func.num_vars();
     if nv == 0 {
@@ -91,22 +70,22 @@ pub fn run_recorded_gvn(
         entry: None,
         num_facts: nv,
     };
-    let lsol = solve_cached(func, cfg, &problem);
-    let vn = ValueNumbering::compute(func, &default_throw_point);
-    let gp = GvnNonNullProblem {
+    let sol = solve_cached(func, cfg, &problem);
+    let classes = gvn.then(|| solve_classes(None, func, cfg, None));
+    let r = eliminate_redundant(
+        None,
         func,
-        vn: &vn,
-        sets: compute_gvn_sets(None, func, &vn),
-        earliest: None,
-        entry: None,
-    };
-    let gsol = solve_cached(func, cfg, &gp);
-    let r = eliminate_redundant_gvn(None, func, &vn, &gsol.ins, &lsol.ins, None, rec, false);
+        &sol.ins,
+        None,
+        classes.as_ref().map(|(vn, s)| (vn, s.ins.as_slice())),
+        rec,
+        false,
+    );
     WhaleyStats {
         eliminated: r.eliminated,
         gvn_eliminated: r.gvn_only,
-        iterations: lsol.iterations + gsol.iterations,
-        pops: lsol.worklist_pops + gsol.worklist_pops,
+        iterations: sol.iterations + classes.as_ref().map_or(0, |(_, s)| s.iterations),
+        pops: sol.worklist_pops + classes.as_ref().map_or(0, |(_, s)| s.worklist_pops),
     }
 }
 

@@ -283,7 +283,7 @@ pub enum CheckEvent {
     /// with what the trap handler actually did. Recovered traps still
     /// count as traps; the dynamic conservation law
     /// `traps = aborted + recovered` is enforced by
-    /// [`reconcile_recovered`].
+    /// [`reconcile_recovered_tiered`].
     Recovery {
         /// The check whose implicit site trapped.
         id: CheckId,
@@ -1007,68 +1007,30 @@ pub fn chrome_trace_json(passes: &[(&str, Duration)], wall: Duration) -> String 
 /// VM took must resolve to a [`SiteRecord`], and each executed explicit
 /// check id must have a materialization event in the stream.
 ///
-/// # Errors
-/// Returns one line per unexplained observation.
-pub fn reconcile(
-    trace: &FunctionTrace,
-    trap_sites: &[(BlockId, usize)],
-    executed_checks: &[CheckId],
-) -> Result<(), Vec<String>> {
-    let mut missing = Vec::new();
-    for &(block, inst) in trap_sites {
-        if trace.resolve_site(block, inst).is_none() {
-            missing.push(format!(
-                "{}: trap at {block} inst {inst} has no provenance record",
-                trace.function
-            ));
-        }
-    }
-    for &id in executed_checks {
-        let materialized = trace.events_for(id).iter().any(|e| {
-            matches!(
-                e,
-                CheckEvent::Origin { .. }
-                    | CheckEvent::Phase1Inserted { .. }
-                    | CheckEvent::Phase2Explicit { .. }
-                    | CheckEvent::Phase2Respawn { .. }
-            )
-        });
-        if !materialized && !trace.events.is_empty() {
-            missing.push(format!(
-                "{}: executed explicit check {id} has no materialization event",
-                trace.function
-            ));
-        }
-    }
-    if missing.is_empty() {
-        Ok(())
-    } else {
-        Err(missing)
-    }
-}
-
-/// [`reconcile`] across *tiers*: a function recompiled mid-run accumulates
-/// dynamic observations under more than one compiled body, and a trap site
-/// or check id need only resolve against the provenance of **some** tier
-/// that was installed during the run (the CheckId conservation law holds
-/// per tier; the union covers the whole run).
+/// `traces` holds one trace per compiled body of the function. A function
+/// recompiled mid-run accumulates dynamic observations under more than one
+/// *tier*, and a trap site or check id need only resolve against the
+/// provenance of **some** tier that was installed during the run (the
+/// CheckId conservation law holds per tier; the union covers the whole
+/// run). A single-tier run passes a one-element slice.
 ///
 /// # Errors
-/// Returns one line per observation no tier's trace can explain.
-pub fn reconcile_tiered(
+/// Returns one line per observation no trace can explain.
+pub fn reconcile(
     traces: &[&FunctionTrace],
     trap_sites: &[(BlockId, usize)],
     executed_checks: &[CheckId],
 ) -> Result<(), Vec<String>> {
     let mut missing = Vec::new();
-    if traces.is_empty() {
+    let Some(first) = traces.first() else {
         return Ok(());
-    }
+    };
+    let scope = if traces.len() > 1 { " in any tier" } else { "" };
     for &(block, inst) in trap_sites {
         if !traces.iter().any(|t| t.resolve_site(block, inst).is_some()) {
             missing.push(format!(
-                "{}: trap at {block} inst {inst} has no provenance record in any tier",
-                traces[0].function
+                "{}: trap at {block} inst {inst} has no provenance record{scope}",
+                first.function
             ));
         }
     }
@@ -1086,8 +1048,8 @@ pub fn reconcile_tiered(
         });
         if !materialized && traces.iter().any(|t| !t.events.is_empty()) {
             missing.push(format!(
-                "{}: executed explicit check {id} has no materialization event in any tier",
-                traces[0].function
+                "{}: executed explicit check {id} has no materialization event{scope}",
+                first.function
             ));
         }
     }
@@ -1148,21 +1110,10 @@ pub fn recovery_event(
 /// recovered count exceeds its trap count is likewise refused: recovery
 /// *consumes* traps, it does not mint them.
 ///
-/// # Errors
-/// Returns one line per unexplained recovery.
-pub fn reconcile_recovered(
-    trace: &FunctionTrace,
-    recovered: &[(BlockId, usize, u64)],
-    traps: &[(BlockId, usize, u64)],
-) -> Result<(), Vec<String>> {
-    reconcile_recovered_tiered(&[trace], recovered, traps)
-}
-
-/// [`reconcile_recovered`] across tiers: a recovered site need only
-/// resolve against **some** installed tier's site map, mirroring
-/// [`reconcile_tiered`]. Trap counts are shared across tiers (the VM
-/// accumulates one counter map per run), so the `recovered <= traps`
-/// bound is checked against the union.
+/// Like [`reconcile`], a recovered site need only resolve against
+/// **some** installed tier's site map. Trap counts are shared across tiers
+/// (the VM accumulates one counter map per run), so the
+/// `recovered <= traps` bound is checked against the union.
 ///
 /// # Errors
 /// Returns one line per unexplained recovery.
@@ -1413,8 +1364,8 @@ mod tests {
             }],
             ..FunctionTrace::default()
         };
-        reconcile(&trace, &[(BlockId(0), 1)], &[]).unwrap();
-        let errs = reconcile(&trace, &[(BlockId(1), 0)], &[]).unwrap_err();
+        reconcile(&[&trace], &[(BlockId(0), 1)], &[]).unwrap();
+        let errs = reconcile(&[&trace], &[(BlockId(1), 0)], &[]).unwrap_err();
         assert_eq!(errs.len(), 1);
         assert!(errs[0].contains("no provenance record"), "{}", errs[0]);
     }
@@ -1469,10 +1420,12 @@ mod tests {
             ..FunctionTrace::default()
         };
         // Balanced: 2 traps, 2 recoveries at the known site.
-        reconcile_recovered(&trace, &[(BlockId(0), 1, 2)], &[(BlockId(0), 1, 2)]).unwrap();
+        reconcile_recovered_tiered(&[&trace], &[(BlockId(0), 1, 2)], &[(BlockId(0), 1, 2)])
+            .unwrap();
         // A recovered trap with no matching site provenance is refused.
         let errs =
-            reconcile_recovered(&trace, &[(BlockId(1), 0, 1)], &[(BlockId(1), 0, 1)]).unwrap_err();
+            reconcile_recovered_tiered(&[&trace], &[(BlockId(1), 0, 1)], &[(BlockId(1), 0, 1)])
+                .unwrap_err();
         assert_eq!(errs.len(), 1);
         assert!(
             errs[0].contains("no matching site provenance"),
@@ -1481,7 +1434,8 @@ mod tests {
         );
         // recovered > traps is refused: recovery consumes traps.
         let errs =
-            reconcile_recovered(&trace, &[(BlockId(0), 1, 3)], &[(BlockId(0), 1, 2)]).unwrap_err();
+            reconcile_recovered_tiered(&[&trace], &[(BlockId(0), 1, 3)], &[(BlockId(0), 1, 2)])
+                .unwrap_err();
         assert!(errs[0].contains("cannot mint"), "{}", errs[0]);
     }
 

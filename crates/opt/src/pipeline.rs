@@ -792,11 +792,7 @@ fn optimize_function(
             NullOpt::None => {}
             NullOpt::Whaley => {
                 let orig = config.validate.then(|| func.clone());
-                let s = if config.gvn {
-                    whaley::run_recorded_gvn(func, &mut cfg, rec)
-                } else {
-                    whaley::run_recorded(func, &mut cfg, rec)
-                };
+                let s = whaley::run_recorded(func, &mut cfg, rec, config.gvn);
                 stats.null_checks.whaley.eliminated += s.eliminated;
                 stats.null_checks.whaley.gvn_eliminated += s.gvn_eliminated;
                 stats.null_checks.whaley.iterations += s.iterations;
@@ -816,11 +812,7 @@ fn optimize_function(
             }
             NullOpt::Phase1 => {
                 let orig = config.validate.then(|| func.clone());
-                let s = if config.gvn {
-                    phase1::run_recorded_gvn(&ctx, func, &mut cfg, rec)
-                } else {
-                    phase1::run_recorded(&ctx, func, &mut cfg, rec)
-                };
+                let s = phase1::run_recorded(&ctx, func, &mut cfg, rec, config.gvn);
                 stats.null_checks.phase1.eliminated += s.eliminated;
                 stats.null_checks.phase1.gvn_eliminated += s.gvn_eliminated;
                 stats.null_checks.phase1.inserted += s.inserted;

@@ -30,7 +30,7 @@ use njc_arch::Platform;
 use njc_core::ExplicitOverride;
 use njc_ir::{BlockId, CheckId, Function, FunctionId, Module};
 use njc_observe::{
-    reconcile_recovered_tiered, reconcile_tiered, FunctionTrace, ModuleTrace, RecompileEvent,
+    reconcile, reconcile_recovered_tiered, FunctionTrace, ModuleTrace, RecompileEvent,
 };
 use njc_opt::{optimize_function_overridden, ConfigKind, OptConfig};
 use njc_recover::{RecoveryCounts, RecoveryPolicy};
@@ -176,7 +176,7 @@ impl RuntimeOutcome {
                 .filter(|(f, _)| *f as usize == fi)
                 .map(|&(_, id)| CheckId(id))
                 .collect();
-            if let Err(mut missing) = reconcile_tiered(&refs, &traps, &checks) {
+            if let Err(mut missing) = reconcile(&refs, &traps, &checks) {
                 failures.append(&mut missing);
             }
             // The recovered-trap conservation law: every recovered trap

@@ -851,7 +851,7 @@ fn reconcile_counts(module: &Module, trace: &ModuleTrace, counts: &SiteCounters)
             .filter(|(f, _)| *f as usize == fi)
             .map(|&(_, id)| CheckId(id))
             .collect();
-        if let Err(missing) = reconcile(ft, &traps, &checks) {
+        if let Err(missing) = reconcile(&[ft], &traps, &checks) {
             failures.extend(missing);
         }
     }

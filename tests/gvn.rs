@@ -4,7 +4,7 @@
 //! trap model, and vanish without a trace when the feature is off.
 
 use njc_arch::Platform;
-use njc_ir::{FuncBuilder, Module, Type};
+use njc_ir::{CheckId, FuncBuilder, Module, Type};
 use njc_observe::{CheckEvent, ModuleTrace, Redundancy};
 use njc_opt::{optimize_module, optimize_module_traced, ConfigKind, OptConfig};
 use njc_vm::run_module;
@@ -365,4 +365,66 @@ fn gvn_conservation_ledger_balances() {
         );
         trace.check_conservation().unwrap();
     }
+}
+
+/// Each phase 1 / Whaley elimination of `trace`, keyed by (function, check
+/// id), with the fact that justified it.
+fn eliminations(trace: &ModuleTrace) -> Vec<((String, CheckId), Redundancy)> {
+    let mut out = Vec::new();
+    for ft in &trace.functions {
+        for e in &ft.events {
+            if let CheckEvent::Phase1Eliminated { id, why, .. }
+            | CheckEvent::WhaleyEliminated { id, why, .. } = e
+            {
+                out.push(((ft.function.clone(), *id), *why));
+            }
+        }
+    }
+    out
+}
+
+#[test]
+fn gvn_keeps_every_legacy_kill_and_its_why() {
+    // Legacy-first precedence, per check: with one null-check pass the
+    // value numbering sees the same check ids as the per-variable run,
+    // so every check the gvn-off run eliminates must die with gvn on too,
+    // justified by the identical fact; `gvn_eliminated` counts exactly
+    // the class-attributed kills.
+    let mut modules: Vec<(String, Module)> = njc_workloads::all()
+        .into_iter()
+        .map(|w| (w.name.to_string(), w.module))
+        .collect();
+    modules.extend(
+        njc_workloads::micro::all_micro()
+            .into_iter()
+            .map(|(n, m)| (n.to_string(), m)),
+    );
+    let mut gvn_total = 0;
+    for (name, m) in &modules {
+        for kind in [ConfigKind::OldNullCheck, ConfigKind::Phase1Only] {
+            for p in [Platform::windows_ia32(), Platform::aix_ppc()] {
+                for interproc in [false, true] {
+                    let cell = format!("{name} {kind:?} {} interproc={interproc}", p.name);
+                    let config = |gvn| OptConfig {
+                        iterations: 1,
+                        interproc,
+                        gvn,
+                        ..kind.to_config(&p)
+                    };
+                    let (_, off) = optimize_module_traced(&mut m.clone(), &p, &config(false));
+                    let (stats, on) = optimize_module_traced(&mut m.clone(), &p, &config(true));
+                    let on_kills = eliminations(&on);
+                    for (key, why) in eliminations(&off) {
+                        let found = on_kills.iter().find(|(k, _)| *k == key).map(|(_, w)| w);
+                        assert_eq!(found, Some(&why), "{cell}: check {key:?}");
+                    }
+                    let s = &stats.null_checks;
+                    let counted = s.phase1.gvn_eliminated + s.whaley.gvn_eliminated;
+                    assert_eq!(counted, gvn_kills(&on), "{cell}");
+                    gvn_total += counted;
+                }
+            }
+        }
+    }
+    assert!(gvn_total > 0, "the corpus must exercise the class replay");
 }
